@@ -301,16 +301,17 @@ def random_udg_connected(
     Raises ``RuntimeError`` after ``max_tries`` rejections — pick a smaller
     ``side`` (higher density) if that happens.
     """
-    from repro.graphs.unionfind import DisjointSet
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     from repro.geometry.points import pairwise_within
 
     rng = as_generator(seed)
     for _ in range(max_tries):
         pos = random_uniform_square(n, side=side, seed=rng)
-        ds = DisjointSet(n)
-        for i, j in pairwise_within(pos, unit):
-            ds.union(int(i), int(j))
-        if ds.n_components == 1:
+        i, j = pairwise_within(pos, unit).T
+        graph = csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+        if connected_components(graph, directed=False)[0] == 1:
             return pos
     raise RuntimeError(
         f"no connected UDG found in {max_tries} tries "

@@ -59,17 +59,21 @@ def pairwise_within(positions, radius: float) -> np.ndarray:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n = pos.shape[0]
+    x, y = pos[:, 0], pos[:, 1]
     rows: list[np.ndarray] = []
-    r2 = radius * radius
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        diff = pos[start:stop, None, :] - pos[None, :, :]
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-        ii, jj = np.nonzero(d2 <= r2)
-        ii = ii + start
+        # hypot, the predicate GridIndex and the interference kernels use:
+        # squared distance rounds differently at d == radius and underflows
+        # for denormal gaps. Only columns >= start can hold pairs i < j.
+        d = np.hypot(
+            x[start:stop, None] - x[None, start:],
+            y[start:stop, None] - y[None, start:],
+        )
+        ii, jj = np.nonzero(d <= radius)
         keep = ii < jj
         if keep.any():
-            rows.append(np.stack([ii[keep], jj[keep]], axis=1))
+            rows.append(np.stack([ii[keep], jj[keep]], axis=1) + start)
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(rows, axis=0)

@@ -23,17 +23,41 @@ Two query tiers share that layout:
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro import obs
 from repro.utils import check_positions
+from repro.utils.validation import edges_from_keys
 
 #: Upper bound on the number of candidate (query, point) pairs a single
 #: fused batch pass materializes; larger workloads are split into query
 #: chunks. 2^21 pairs ≈ 50 MB of transient arrays at float64.
 BATCH_PAIR_CHUNK = 1 << 21
+
+#: ``method="auto"`` of both :func:`repro.interference.node_interference`
+#: and :func:`repro.model.unit_disk_graph` switches from the vectorized
+#: O(n^2) pass to the fused grid tier above this node count. Calibrated on
+#: constant-density instances (Linux/x86-64, numpy 2.x): the interference
+#: kernels tie at n ~ 128 and batch wins 2x at n = 256, 64x at n = 4096;
+#: UDG construction ties at n ~ 128-256 and the grid wins 5-10x at
+#: n = 1024 (docs/PERFORMANCE.md has both tables).
+AUTO_BATCH_MIN_N = 192
+
+#: Grid builders clamp their cell size so each axis has at most
+#: ``GRID_CELLS_PER_AXIS_SCALE * sqrt(n)`` cells (~16n cells total): a
+#: tiny cell over a huge extent (exponential chains) otherwise makes a
+#: span-scale query enumerate astronomically many cells, and the cell
+#: coordinates themselves overflow int64.
+GRID_CELLS_PER_AXIS_SCALE = 4.0
+
+
+def clamped_cell_size(cell: float, span: float, n: int) -> float:
+    """``cell``, raised so an extent ``span`` wide holding ``n`` points has at
+    most ``GRID_CELLS_PER_AXIS_SCALE * sqrt(n)`` cells per axis."""
+    return max(cell, span / max(GRID_CELLS_PER_AXIS_SCALE * math.sqrt(n), 1.0))
 
 
 @runtime_checkable
@@ -89,16 +113,18 @@ class GridIndex:
             self._dense = False
             return
         self._origin = self.positions.min(axis=0)
-        cells = np.floor((self.positions - self._origin) / self.cell_size).astype(
-            np.int64
-        )
+        cells = np.floor((self.positions - self._origin) / self.cell_size)
+        top_x, top_y = cells[:, 0].max(), cells[:, 1].max()
+        if (top_x + 2.0) * (top_y + 2.0) >= 2.0**62:
+            raise ValueError("cell_size too small: cell ids overflow int64")
+        cells = cells.astype(np.int64)
         # occupied extent: queries are clamped to it, both because cells
         # outside it are empty by construction and because unclamped flat
         # ids alias across rows (cx == ncols wraps to column 0 of cy + 1),
         # which used to make wide queries scan cells twice and return
         # duplicate indices
-        self._max_cx = int(cells[:, 0].max())
-        self._max_cy = int(cells[:, 1].max())
+        self._max_cx = int(top_x)
+        self._max_cy = int(top_y)
         self._ncols = self._max_cx + 2
         flat = cells[:, 1] * self._ncols + cells[:, 0]
         self._order = np.argsort(flat, kind="stable")
@@ -115,14 +141,15 @@ class GridIndex:
         return self.positions.shape[0]
 
     def _cells_overlapping(self, center: np.ndarray, radius: float):
-        lo = np.floor((center - radius - self._origin) / self.cell_size).astype(int)
-        hi = np.floor((center + radius - self._origin) / self.cell_size).astype(int)
+        lo = np.floor((center - radius - self._origin) / self.cell_size)
+        hi = np.floor((center + radius - self._origin) / self.cell_size)
         # clamp to the occupied extent: beyond it there is nothing to find,
-        # and flat ids computed from out-of-range cx alias into other rows
-        cx0 = max(int(lo[0]), 0)
-        cx1 = min(int(hi[0]), self._max_cx)
-        cy0 = max(int(lo[1]), 0)
-        cy1 = min(int(hi[1]), self._max_cy)
+        # and flat ids computed from out-of-range cx alias into other rows.
+        # Clamping in float, before the cast, keeps far disks from
+        # overflowing it.
+        top = (self._max_cx, self._max_cy)
+        cx0, cy0 = np.clip(lo, 0, np.add(top, 1)).astype(np.int64).tolist()
+        cx1, cy1 = np.clip(hi, -1, top).astype(np.int64).tolist()
         for cy in range(cy0, cy1 + 1):
             base = cy * self._ncols
             for cx in range(cx0, cx1 + 1):
@@ -170,10 +197,12 @@ class GridIndex:
         span = radii[:, None]
         lo = np.floor((centers - span - self._origin) / self.cell_size)
         hi = np.floor((centers + span - self._origin) / self.cell_size)
-        lo_x = np.maximum(lo[:, 0].astype(np.int64), 0)
-        lo_y = np.maximum(lo[:, 1].astype(np.int64), 0)
-        hi_x = np.minimum(hi[:, 0].astype(np.int64), self._max_cx)
-        hi_y = np.minimum(hi[:, 1].astype(np.int64), self._max_cy)
+        # clamp in float, before the int64 cast, so a far or huge disk
+        # cannot overflow it; clamped empty windows stay empty
+        lo_x = np.clip(lo[:, 0], 0, self._max_cx + 1).astype(np.int64)
+        lo_y = np.clip(lo[:, 1], 0, self._max_cy + 1).astype(np.int64)
+        hi_x = np.clip(hi[:, 0], -1, self._max_cx).astype(np.int64)
+        hi_y = np.clip(hi[:, 1], -1, self._max_cy).astype(np.int64)
         return lo_x, hi_x, lo_y, hi_y
 
     def _expand_cells(self, qids, lo_x, hi_x, lo_y, hi_y):
@@ -346,16 +375,15 @@ class GridIndex:
         if n == 0:
             return np.empty((0, 2), dtype=np.int64)
         radii = np.full(n, float(radius))
-        rows: list[np.ndarray] = []
+        # one int64 edge key per pair (repro.utils.validation.edge_keys): a 1-D sort
+        # instead of a two-key lexsort
+        keys = []
         for qq, hits in self._batch_hits(self.positions, radii):
             keep = hits > qq
-            if keep.any():
-                rows.append(np.stack([qq[keep], hits[keep]], axis=1))
-        if not rows:
+            keys.append(qq[keep] * n + hits[keep])
+        if not keys:
             return np.empty((0, 2), dtype=np.int64)
-        pairs = np.concatenate(rows, axis=0)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        return edges_from_keys(np.sort(np.concatenate(keys)), n)
 
     def count_within(self, centers, radii) -> np.ndarray:
         """For each ``(center, radius)`` pair, count indexed points inside.

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.geometry.spatial import GridIndex
+from repro.geometry.spatial import AUTO_BATCH_MIN_N, GridIndex, clamped_cell_size
 from repro.interference.batch import batch_covered_counts
 from repro.model.topology import Topology
 
@@ -51,29 +51,11 @@ ATOL = 0.0
 #: per chunk at n = 10^5, defeating the chunking's purpose.
 _CHUNK = 1024
 
-#: ``method="auto"`` switches from the vectorized O(n^2) kernel to the
-#: fused batch kernel above this node count. Calibrated on the
-#: constant-density instances of ``benchmarks/bench_batch_kernels.py``
-#: (EMST over ``random_udg_connected``, Linux/x86-64, numpy 2.x): the
-#: kernels tie at n ~ 128 and batch wins beyond — 2x at n = 256, 64x at
-#: n = 4096 (see docs/PERFORMANCE.md for the measured table). Density
-#: pathologies above the threshold are handled inside the batch kernel,
-#: which falls back to brute when the grid cannot prune (see
-#: ``GRID_COVERAGE_FALLBACK``).
-AUTO_BATCH_MIN_N = 192
-
 #: The scalar-grid / brute crossover (``method="grid"`` is still the
 #: right tier for incremental one-disk-at-a-time workloads; ``auto`` now
 #: prefers the batch tier, which is faster than scalar grid at every n).
 #: Kept calibrated for callers that pick ``method="grid"`` explicitly.
 AUTO_GRID_MIN_N = 1024
-
-#: The grid/batch kernels clamp their cell size so each axis has at most
-#: ``GRID_CELLS_PER_AXIS_SCALE * sqrt(n)`` cells (~16n cells total):
-#: radii spanning many orders of magnitude (exponential chains) otherwise
-#: pick a median-radius cell so small that a single span-scale query
-#: enumerates astronomically many cells.
-GRID_CELLS_PER_AXIS_SCALE = 4.0
 
 #: Fall back to the brute kernel when the average query disk's bounding
 #: box covers more than this fraction of the instance extent — the grid
@@ -165,9 +147,7 @@ def _grid_cell_size(
     # degenerates when radii span many orders of magnitude (exponential
     # chains): clamp the implied cell count so a span-scale query can never
     # enumerate more than O(n) cells.
-    cell = float(np.median(positive))
-    min_cell = span / max(GRID_CELLS_PER_AXIS_SCALE * math.sqrt(n), 1.0)
-    cell = min(max(cell, min_cell), span)
+    cell = min(clamped_cell_size(float(np.median(positive)), span, n), span)
     # If the average query disk's bounding box covers a large fraction of
     # the instance, every query scans nearly all points regardless of cell
     # size; the brute kernel does the same scans vectorized.

@@ -16,6 +16,7 @@ import numpy as np
 from repro.graphs.core import Graph
 from repro.graphs.traversal import is_connected as _graph_connected
 from repro.utils import check_edge_array, check_positions
+from repro.utils.validation import edge_keys
 
 
 class Topology:
@@ -87,6 +88,11 @@ class Topology:
         return deg
 
     @cached_property
+    def _keys(self) -> np.ndarray:
+        """Sorted int64 edge keys (:func:`repro.utils.validation.edge_keys`)."""
+        return edge_keys(self.edges, self.n)
+
+    @cached_property
     def _adjacency(self) -> list[frozenset[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
@@ -121,15 +127,12 @@ class Topology:
         """True iff every edge of ``self`` also appears in ``other``."""
         if self.n != other.n:
             return False
-        mine = {tuple(e) for e in self.edges}
-        theirs = {tuple(e) for e in other.edges}
-        return mine <= theirs
+        return bool(np.isin(self._keys, other._keys).all())
 
     def contains_edges(self, edges) -> bool:
         """True iff every row of ``edges`` is an edge of this topology."""
         arr = check_edge_array(edges, self.n)
-        theirs = {tuple(e) for e in self.edges}
-        return all(tuple(e) in theirs for e in arr)
+        return bool(np.isin(edge_keys(arr, self.n), self._keys).all())
 
     # -- derived topologies ----------------------------------------------------
     def with_edges(self, extra) -> "Topology":
@@ -140,9 +143,8 @@ class Topology:
     def without_edges(self, drop) -> "Topology":
         """New topology with the given edges removed (missing edges ignored)."""
         arr = check_edge_array(drop, self.n)
-        dropset = {tuple(e) for e in arr}
-        keep = [e for e in self.edges if tuple(e) not in dropset]
-        return Topology(self.positions, np.array(keep, dtype=np.int64).reshape(-1, 2))
+        keep = ~np.isin(self._keys, edge_keys(arr, self.n))
+        return Topology(self.positions, self.edges[keep])
 
     def add_node(self, position, attach_to=()) -> "Topology":
         """New topology with one extra node connected to ``attach_to``.

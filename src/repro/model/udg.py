@@ -2,20 +2,21 @@
 
 The UDG ``G = (V, E)`` has an edge between every pair at Euclidean distance
 at most the unit range (Clark, Colbourn & Johnson [3]). Two kernels are
-provided: a brute-force vectorized O(n^2) pass (fast for n up to a few
-thousand) and a grid-index pass that is near-linear for bounded-density
-instances; ``method="auto"`` picks by instance size.
+provided, sharing the ``hypot(dx, dy) <= unit`` predicate so they return
+identical edge arrays: a brute-force vectorized O(n^2) pass, fastest for
+small n, and a fused grid-index pass that is near-linear for
+bounded-density instances; ``method="auto"`` picks the grid above
+:data:`~repro.geometry.spatial.AUTO_BATCH_MIN_N` nodes.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.geometry.points import pairwise_within
-from repro.geometry.spatial import GridIndex
+from repro.geometry.spatial import AUTO_BATCH_MIN_N, GridIndex, clamped_cell_size
 from repro.model.topology import Topology
 from repro.utils import check_positions
-
-#: Above this node count ``method="auto"`` switches to the grid kernel.
-_AUTO_GRID_THRESHOLD = 3000
 
 
 def unit_disk_graph(
@@ -37,11 +38,13 @@ def unit_disk_graph(
     if unit <= 0:
         raise ValueError("unit must be positive")
     if method == "auto":
-        method = "grid" if pos.shape[0] > _AUTO_GRID_THRESHOLD else "brute"
+        method = "grid" if pos.shape[0] > AUTO_BATCH_MIN_N else "brute"
     if method == "brute":
         edges = pairwise_within(pos, unit)
     elif method == "grid":
-        edges = GridIndex(pos, cell_size=unit).pairs_within(unit)
+        span = float(np.ptp(pos, axis=0).max()) if pos.shape[0] else 0.0
+        cell = clamped_cell_size(unit, span, pos.shape[0])
+        edges = GridIndex(pos, cell_size=cell).pairs_within(unit)
     else:
         raise ValueError(f"unknown method {method!r}")
     return Topology(pos, edges)

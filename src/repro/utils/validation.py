@@ -44,11 +44,27 @@ def check_radii(radii, n: int, *, name: str = "radii") -> np.ndarray:
     return arr
 
 
+#: Largest n whose edge keys (at most n**2 - 1) fit in int64.
+EDGE_KEY_MAX_N = 3_037_000_499
+
+
+def edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """int64 key ``lo * n + hi`` per canonical edge row; keys sort like rows."""
+    return edges[:, 0] * np.int64(n) + edges[:, 1]
+
+
+def edges_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Decode :func:`edge_keys` back into an ``(m, 2)`` int64 edge array."""
+    out = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(out[:, 0], out[:, 1]))
+    return out
+
+
 def check_edge_array(edges, n: int, *, name: str = "edges") -> np.ndarray:
     """Validate an ``(m, 2)`` integer edge array over nodes ``0..n-1``.
 
     Self-loops are rejected. The returned array is int64 with each row sorted
-    ``(min, max)`` and duplicate rows removed; row order is not preserved.
+    ``(min, max)``, duplicate rows removed, and rows in lexicographic order.
     """
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
@@ -57,9 +73,14 @@ def check_edge_array(edges, n: int, *, name: str = "edges") -> np.ndarray:
         raise ValueError(f"{name} must have shape (m, 2), got {arr.shape!r}")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"{name} indices must lie in [0, {n})")
+    if n > EDGE_KEY_MAX_N:
+        raise ValueError(f"n must be <= {EDGE_KEY_MAX_N} for int64 edge keys")
     if np.any(arr[:, 0] == arr[:, 1]):
         raise ValueError(f"{name} must not contain self-loops")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     canon = np.stack([lo, hi], axis=1)
-    return np.unique(canon, axis=0)
+    keys = edge_keys(canon, n)
+    if np.all(keys[1:] > keys[:-1]):
+        return canon  # already canonical, as the UDG kernels emit it: O(m)
+    return edges_from_keys(np.unique(keys), n)

@@ -202,6 +202,34 @@ class TestRandom2D:
         pos = random_udg_connected(30, side=3.0, seed=11)
         assert unit_disk_graph(pos, unit=1.0).is_connected()
 
+    def test_random_udg_connected_matches_union_find_oracle(self):
+        """Same RNG draws, same accept/reject decisions: bit-identical
+        positions to the original per-edge union-find loop."""
+        from repro.geometry.points import pairwise_within
+        from repro.graphs.unionfind import DisjointSet
+        from repro.utils import as_generator
+
+        def oracle(n, side, seed, max_tries=200):
+            rng = as_generator(seed)
+            for tries in range(1, max_tries + 1):
+                pos = random_uniform_square(n, side=side, seed=rng)
+                ds = DisjointSet(n)
+                for i, j in pairwise_within(pos, 1.0):
+                    ds.union(int(i), int(j))
+                if ds.n_components == 1:
+                    return pos, tries
+            raise AssertionError("oracle found no connected instance")
+
+        rejected = 0
+        for seed in range(50):
+            n = 8 + seed % 33
+            side = 1.2 + 0.05 * n  # near the connectivity threshold
+            want, tries = oracle(n, side, seed)
+            rejected += tries > 1
+            got = random_udg_connected(n, side=side, seed=seed)
+            assert got.tobytes() == want.tobytes(), seed
+        assert rejected > 0  # the reject-and-redraw path was exercised
+
     def test_random_udg_connected_impossible_density(self):
         with pytest.raises(RuntimeError, match="increase density"):
             random_udg_connected(5, side=1000.0, seed=1, max_tries=3)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.geometry.generators import exponential_chain
 from repro.geometry.points import distance_matrix, pairwise_within
-from repro.geometry.spatial import GridIndex
+from repro.geometry.spatial import GridIndex, clamped_cell_size
 
 
 class TestGridIndex:
@@ -63,6 +64,30 @@ class TestGridIndex:
     def test_invalid_cell_size(self):
         with pytest.raises(ValueError):
             GridIndex(np.zeros((2, 2)), cell_size=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cell_id_overflow_raises(self):
+        # 2^299 extent / unit cells: cell coordinates do not fit int64
+        pos = exponential_chain(300, normalize=False)
+        with pytest.raises(ValueError, match="overflow"):
+            GridIndex(pos, cell_size=1.0)
+        cell = clamped_cell_size(1.0, float(np.ptp(pos[:, 0])), 300)
+        assert len(GridIndex(pos, cell_size=cell)) == 300
+
+    def test_clamped_cell_size(self):
+        # a 2.5-wide extent over 25 points allows cells down to 2.5/(4*5)
+        assert clamped_cell_size(1.0, 2.5, 25) == 1.0
+        assert clamped_cell_size(1e-9, 2.5, 25) == 0.125
+        assert clamped_cell_size(0.5, 0.0, 0) == 0.5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_and_far_disks_do_not_overflow_windows(self, random_positions):
+        index = GridIndex(random_positions, cell_size=0.5)
+        n = len(random_positions)
+        assert index.query_radius((0.0, 0.0), 1e300).size == n
+        assert index.query_radius((1e300, -1e300), 1.0).size == 0
+        counts = index.count_within([[0.0, 0.0], [1e300, 0.0]], [1e300, 1.0])
+        assert counts.tolist() == [n, 0]
 
     def test_negative_radius(self, random_positions):
         index = GridIndex(random_positions, cell_size=1.0)

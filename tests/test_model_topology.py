@@ -115,3 +115,61 @@ class TestDerivedTopologies:
     def test_1d_positions_accepted(self):
         t = Topology([0.0, 1.0, 3.0], [(0, 1)])
         assert t.positions.shape == (3, 2)
+
+
+def _edge_set(edges):
+    return {(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges}
+
+
+def _random_rows(rng, n, m):
+    """Up to ``m`` non-loop rows over ``0..n-1`` (duplicates and reversed
+    rows likely); empty when ``n < 2``."""
+    if n < 2 or m == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n
+    return np.stack([u, v], axis=1)
+
+
+class TestEdgeKeySetSemantics:
+    """is_subgraph_of / contains_edges / without_edges == set semantics."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_against_python_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        pos = rng.uniform(0.0, 3.0, size=(n, 2))
+        a_rows = _random_rows(rng, n, int(rng.integers(0, 20)))
+        b_rows = _random_rows(rng, n, int(rng.integers(0, 20)))
+        a = Topology(pos, a_rows)
+        b = Topology(pos, np.concatenate([b_rows, a_rows[: len(a_rows) // 2]]))
+        sa, sb = _edge_set(a.edges), _edge_set(b.edges)
+        assert a.is_subgraph_of(b) == (sa <= sb)
+        assert b.is_subgraph_of(a) == (sb <= sa)
+        assert a.is_subgraph_of(a)
+        # query rows: reversed copies and duplicates of b's rows
+        query = np.concatenate([b_rows[:, ::-1], b_rows]).reshape(-1, 2)
+        assert a.contains_edges(query) == (_edge_set(query) <= sa)
+        dropped = a.without_edges(query)
+        assert _edge_set(dropped.edges) == sa - _edge_set(query)
+        assert np.array_equal(dropped.positions, a.positions)
+
+    def test_empty_arrays(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        empty = Topology(pos)
+        full = Topology(pos, [(0, 1), (1, 2)])
+        assert empty.is_subgraph_of(full)
+        assert not full.is_subgraph_of(empty)
+        assert full.contains_edges([])
+        assert empty.contains_edges(np.empty((0, 2), dtype=np.int64))
+        assert not empty.contains_edges([(0, 1)])
+        assert full.without_edges([]) == full
+        assert empty.without_edges([(2, 1)]) == empty
+        assert full.without_edges([(2, 1), (1, 0)]) == empty
+
+    def test_single_node(self):
+        one = Topology(np.array([[0.5, 0.5]]))
+        assert one.is_subgraph_of(one)
+        assert one.contains_edges([])
+        assert one.without_edges([]).n_edges == 0
+        assert not one.is_subgraph_of(Topology(np.zeros((2, 2))))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import check_edge_array, check_positions, check_radii
+from repro.utils.validation import EDGE_KEY_MAX_N, edge_keys, edges_from_keys
 from repro.utils.rng import as_generator
 
 
@@ -82,6 +83,74 @@ class TestCheckEdgeArray:
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):
             check_edge_array([[1, 2, 3]], 5)
+
+
+
+def _reference_canonical(edges):
+    """The old 2-D canonicalisation: row-sorted, then np.unique(axis=0)."""
+    arr = np.asarray(edges, dtype=np.int64)
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+def _random_edges(rng, n, m):
+    """``m`` random non-loop rows over ``0..n-1``, with duplicates and
+    reversed copies mixed in."""
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n
+    rows = np.stack([u, v], axis=1)
+    extra = rows[rng.integers(0, m, size=m // 3)]
+    flipped = extra[rng.random(extra.shape[0]) < 0.5][:, ::-1]
+    rows = np.concatenate([rows, extra, flipped])
+    return rows[rng.permutation(rows.shape[0])]
+
+
+class TestCheckEdgeArrayProperties:
+    """The 1-D key canonicalisation against the old 2-D reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_unique_axis0_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(1, 4 * n))
+        edges = _random_edges(rng, n, m)
+        out = check_edge_array(edges, n)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _reference_canonical(edges))
+
+    def test_canonical_input_passes_through(self):
+        edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3]])
+        out = check_edge_array(edges, 4)
+        assert np.array_equal(out, edges)
+        assert out is not edges  # a fresh array: callers freeze it
+
+    @pytest.mark.parametrize(
+        "n", [2**31 - 1, 2**31 + 11, EDGE_KEY_MAX_N - 7, EDGE_KEY_MAX_N]
+    )
+    def test_int64_key_headroom_at_large_n(self, n):
+        rng = np.random.default_rng(n % 1000)
+        edges = _random_edges(rng, 50, 120)
+        # spread the indices over the top of the range: keys near n**2
+        big = np.where(edges < 25, edges, n - 50 + edges)
+        out = check_edge_array(big, n)
+        assert np.array_equal(out, _reference_canonical(big))
+        keys = edge_keys(out, n)
+        assert np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(edges_from_keys(keys, n), out)
+
+    def test_key_overflow_rejected(self):
+        top = np.iinfo(np.int64).max
+        assert EDGE_KEY_MAX_N**2 - 1 <= top < (EDGE_KEY_MAX_N + 1) ** 2 - 1
+        with pytest.raises(ValueError, match="edge keys"):
+            check_edge_array([(0, 1)], EDGE_KEY_MAX_N + 1)
+
+    def test_key_roundtrip_and_order(self):
+        rng = np.random.default_rng(3)
+        out = check_edge_array(_random_edges(rng, 30, 80), 30)
+        keys = edge_keys(out, 30)
+        assert np.array_equal(keys, np.sort(keys))
+        assert np.array_equal(edges_from_keys(keys, 30), out)
 
 
 class TestAsGenerator:
