@@ -17,6 +17,16 @@ from repro.utils import check_positions
 #: used in experiments it is far smaller.
 _CHUNK_ROWS = 2048
 
+#: Elements of one ``(rows, n)`` block of :func:`row_blocks` (128 KiB of
+#: float64), so per-edge scans over all nodes add nothing to peak memory.
+BLOCK_ELEMS = 1 << 14
+
+
+def row_blocks(rows: int, n: int) -> list[slice]:
+    """Slices of ``range(rows)`` of ``BLOCK_ELEMS // n`` rows (at least one)."""
+    step = max(1, BLOCK_ELEMS // max(n, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
 
 def distance(p, q) -> float:
     """Euclidean distance between two points."""

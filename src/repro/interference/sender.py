@@ -10,12 +10,16 @@ Endpoints themselves are always inside both disks; by default they are
 *excluded* from the count so an isolated short edge in an empty region has
 coverage 0 (set ``include_endpoints=True`` for the convention that counts
 them, which shifts every coverage by exactly 2).
+
+:func:`edge_coverage` tests each block of edges
+(:func:`repro.geometry.points.row_blocks`) against all ``n`` nodes: O(m·n).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.points import row_blocks
 from repro.interference.receiver import ATOL, RTOL
 from repro.model.topology import Topology
 
@@ -29,24 +33,21 @@ def edge_coverage(
 ) -> np.ndarray:
     """Coverage ``Cov(e)`` of every edge, aligned with ``topology.edges``."""
     pos = topology.positions
+    x, y = pos[:, 0], pos[:, 1]
     edges = topology.edges
-    m = edges.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return out
-    lengths = topology.edge_lengths
-    thresh = lengths * (1.0 + rtol) + atol
-    for k in range(m):
-        u, v = edges[k]
-        du = pos - pos[u]
-        dv = pos - pos[v]
-        in_u = np.hypot(du[:, 0], du[:, 1]) <= thresh[k]
-        in_v = np.hypot(dv[:, 0], dv[:, 1]) <= thresh[k]
-        covered = in_u | in_v
+    out = np.zeros(edges.shape[0], dtype=np.int64)
+    thresh = topology.edge_lengths * (1.0 + rtol) + atol
+    for block in row_blocks(edges.shape[0], topology.n):
+        u, v = edges[block, 0], edges[block, 1]
+        reach = thresh[block, None]
+        covered = (np.hypot(x - x[u, None], y - y[u, None]) <= reach) | (
+            np.hypot(x - x[v, None], y - y[v, None]) <= reach
+        )
         if not include_endpoints:
-            covered[u] = False
-            covered[v] = False
-        out[k] = int(covered.sum())
+            rows = np.arange(u.size)
+            covered[rows, u] = False
+            covered[rows, v] = False
+        out[block] = covered.sum(axis=1)
     return out
 
 

@@ -5,6 +5,11 @@ distances until every cone of angle ``alpha`` around it contains a reached
 neighbour (or all neighbours are reached). The kept directed edges are the
 reached neighbours; the undirected output takes the symmetric closure
 (union), which for ``alpha <= 2*pi/3`` preserves connectivity.
+
+Neighbours are reached in table row order (:mod:`repro.topologies.ranking`;
+distance ties to the smaller index). More neighbours only split gaps, so
+coverage is monotone in the prefix and each node bisects for the shortest
+covering one: O(m log m), then O(d log² d) per node of degree d.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 
 from repro.model.topology import Topology
 from repro.topologies.base import register
+from repro.topologies.ranking import NeighborTable
 
 
 def _gaps_covered(angles: np.ndarray, alpha: float) -> bool:
@@ -34,25 +40,20 @@ def _gaps_covered(angles: np.ndarray, alpha: float) -> bool:
 def cbtc(udg: Topology, *, alpha: float = 2.0 * math.pi / 3.0) -> Topology:
     if not 0 < alpha <= 2.0 * math.pi:
         raise ValueError("alpha must lie in (0, 2*pi]")
-    pos = udg.positions
-    rows: set[tuple[int, int]] = set()
-    for u in range(udg.n):
-        nbrs = np.array(sorted(udg.neighbors(u)), dtype=np.int64)
-        if nbrs.size == 0:
-            continue
-        d = pos[nbrs] - pos[u]
-        dist = np.hypot(d[:, 0], d[:, 1])
-        ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
-        order = np.argsort(dist, kind="stable")
-        reached: list[int] = []
-        for idx in order:
-            reached.append(int(idx))
-            if _gaps_covered(ang[reached], alpha):
-                break
-        for idx in reached:
-            v = int(nbrs[idx])
-            rows.add((min(u, v), max(u, v)))
-    return Topology(pos, np.array(sorted(rows), dtype=np.int64).reshape(-1, 2))
+    table = NeighborTable(udg)
+    ang = table.directions()
+    reached = np.zeros(table.src.size, dtype=bool)
+    for start, stop in zip(table.indptr[:-1].tolist(), table.indptr[1:].tolist()):
+        lo, hi = 1, stop - start
+        if hi and _gaps_covered(ang[start:stop], alpha):
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _gaps_covered(ang[start : start + mid], alpha):
+                    hi = mid
+                else:
+                    lo = mid + 1
+        reached[start : start + hi] = True
+    return Topology(udg.positions, udg.edges[np.unique(table.edge[reached])])
 
 
 @register("cbtc")

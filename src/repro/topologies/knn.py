@@ -3,31 +3,23 @@
 Edge ``{u, v}`` is kept iff ``v`` is among the ``k`` nearest UDG neighbours
 of ``u`` *or* vice versa (the symmetric union, the usual connectivity-
 friendly convention). ``k = 1`` recovers the Nearest Neighbor Forest.
+
+Distance ties go to the smaller index: the ``k`` nearest are the first
+``k`` entries of each :class:`~repro.topologies.ranking.NeighborTable` row.
+O(m log m).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.model.topology import Topology
 from repro.topologies.base import register
+from repro.topologies.ranking import NeighborTable
 
 
 def knn_topology(udg: Topology, *, k: int = 3) -> Topology:
     if k < 1:
         raise ValueError("k must be >= 1")
-    pos = udg.positions
-    rows: set[tuple[int, int]] = set()
-    for u in range(udg.n):
-        nbrs = np.array(sorted(udg.neighbors(u)), dtype=np.int64)
-        if nbrs.size == 0:
-            continue
-        d = np.hypot(*(pos[nbrs] - pos[u]).T)
-        order = np.argsort(d, kind="stable")[:k]
-        for idx in order:
-            v = int(nbrs[idx])
-            rows.add((min(u, v), max(u, v)))
-    return Topology(pos, np.array(sorted(rows), dtype=np.int64).reshape(-1, 2))
+    return Topology(udg.positions, NeighborTable(udg).leading_edges(k))
 
 
 @register("knn3")

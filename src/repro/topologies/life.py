@@ -11,38 +11,35 @@ the receiver-centric measure.
 - **LISE** (Low-Interference Spanner Establisher): insert edges in coverage
   order until every UDG edge is ``t``-spanned, yielding a coverage-optimal
   ``t``-spanner.
+
+Coverage ties go by the ``(length, lo, hi)`` rank of
+:mod:`repro.topologies.ranking`: O(m log m) after the O(m·n) coverage scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.core import Graph
-from repro.graphs.paths import dijkstra
 from repro.graphs.unionfind import DisjointSet
 from repro.interference.sender import edge_coverage
 from repro.model.topology import Topology
 from repro.topologies.base import register
+from repro.topologies.greedy_spanner import spanner_edges
+from repro.topologies.ranking import edge_ranks
 
 
-def _coverage_order(udg: Topology) -> list[int]:
-    """Indices of UDG edges sorted by (coverage, length, edge) ascending."""
-    cov = edge_coverage(udg)
-    lengths = udg.edge_lengths
-    keys = sorted(
-        range(udg.n_edges),
-        key=lambda k: (int(cov[k]), float(lengths[k]), tuple(udg.edges[k])),
-    )
-    return keys
+def _coverage_order(udg: Topology) -> np.ndarray:
+    """Indices of UDG edges sorted by (coverage, length, lo, hi) ascending."""
+    return np.lexsort((edge_ranks(udg.edge_lengths, udg.edges), edge_coverage(udg)))
 
 
 @register("life")
 def life(udg: Topology) -> Topology:
     """Coverage-minimal spanning forest (LIFE)."""
     ds = DisjointSet(udg.n)
-    keep = []
-    for k in _coverage_order(udg):
-        u, v = map(int, udg.edges[k])
+    edges, keep = udg.edges.tolist(), []
+    for k in _coverage_order(udg).tolist():
+        u, v = edges[k]
         if ds.union(u, v):
             keep.append((u, v))
             if ds.n_components == 1:
@@ -55,20 +52,10 @@ def lise(udg: Topology, *, t: float = 2.0) -> Topology:
 
     Edges are examined in coverage order; an edge is inserted iff the
     current partial topology does not yet connect its endpoints within
-    ``t`` times its Euclidean length.
+    ``t`` times its Euclidean length (the bounded greedy loop of
+    :func:`~repro.topologies.greedy_spanner.spanner_edges`).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    g = Graph(udg.n)
-    keep: list[tuple[int, int]] = []
-    lengths = udg.edge_lengths
-    for k in _coverage_order(udg):
-        u, v = map(int, udg.edges[k])
-        dist, _ = dijkstra(g, u)
-        if dist[v] > t * float(lengths[k]) * (1.0 + 1e-12):
-            g.add_edge(u, v, float(lengths[k]))
-            keep.append((u, v))
-    return Topology(udg.positions, np.array(keep, dtype=np.int64).reshape(-1, 2))
+    return Topology(udg.positions, spanner_edges(udg, _coverage_order(udg), t))
 
 
 @register("lise2")

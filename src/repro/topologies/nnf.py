@@ -4,6 +4,10 @@ Every node with at least one UDG neighbour adds an (undirected) edge to its
 nearest neighbour, ties broken by smaller index so the construction is
 deterministic. The result is a forest; Section 4 shows that *containing*
 this forest already forces Omega(n) interference on adversarial instances.
+
+The nearest neighbour is the head of each row of the
+:class:`~repro.topologies.ranking.NeighborTable` (order ``(dist, dst)``):
+O(m log m) for the table, O(m) after it.
 """
 
 from __future__ import annotations
@@ -12,23 +16,12 @@ import numpy as np
 
 from repro.model.topology import Topology
 from repro.topologies.base import register
+from repro.topologies.ranking import NeighborTable
 
 
 def nearest_neighbor_edges(udg: Topology) -> np.ndarray:
     """Canonical ``(m, 2)`` edge array of each node's nearest-neighbour edge."""
-    rows = []
-    pos = udg.positions
-    for u in range(udg.n):
-        nbrs = sorted(udg.neighbors(u))
-        if not nbrs:
-            continue
-        nbrs = np.array(nbrs, dtype=np.int64)
-        d = np.hypot(*(pos[nbrs] - pos[u]).T)
-        v = int(nbrs[np.argmin(d)])  # argmin takes first -> smallest index tie-break
-        rows.append((min(u, v), max(u, v)))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(sorted(set(rows)), dtype=np.int64)
+    return NeighborTable(udg).leading_edges(1)
 
 
 @register("nnf")

@@ -47,13 +47,14 @@ class TestEmst:
         assert nnf.is_subgraph_of(emst)
 
     def test_minimal_total_length(self, udg):
-        import networkx as nx
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import minimum_spanning_tree
 
         emst = build("emst", udg)
-        nxg = nx.Graph()
-        for k, (u, v) in enumerate(udg.edges):
-            nxg.add_edge(int(u), int(v), weight=float(udg.edge_lengths[k]))
-        ref = nx.minimum_spanning_tree(nxg).size(weight="weight")
+        graph = coo_matrix(
+            (udg.edge_lengths, (udg.edges[:, 0], udg.edges[:, 1])), shape=(udg.n, udg.n)
+        )
+        ref = minimum_spanning_tree(graph.tocsr()).sum()
         assert emst.edge_lengths.sum() == pytest.approx(ref)
 
 
@@ -201,6 +202,44 @@ class TestLifeLise:
         from repro.topologies.life import lise
 
         assert lise(udg, t=2.0).is_connected()
+
+
+class TestSpannerLimits:
+    """``t = inf`` keeps exactly the spanning forest; ``t = nan`` is rejected."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_infinite_t_greedy_is_emst(self, seed):
+        from repro.topologies.greedy_spanner import greedy_spanner
+
+        udg = unit_disk_graph(random_udg_connected(30, side=2.5, seed=seed))
+        assert np.unique(udg.edge_lengths).size == udg.n_edges  # tie-free
+        sp = greedy_spanner(udg, t=math.inf)
+        assert sp.n_edges == udg.n - 1
+        assert np.array_equal(sp.edges, build("emst", udg).edges)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_infinite_t_lise_is_life(self, seed):
+        from repro.topologies.life import lise
+
+        udg = unit_disk_graph(random_udg_connected(30, side=2.5, seed=seed))
+        assert np.unique(udg.edge_lengths).size == udg.n_edges  # tie-free
+        assert np.array_equal(lise(udg, t=math.inf).edges, build("life", udg).edges)
+
+    def test_infinite_t_on_disconnected_udg_is_forest(self):
+        from repro.topologies.greedy_spanner import greedy_spanner
+
+        pos = random_udg_connected(12, side=1.5, seed=4)
+        udg = unit_disk_graph(np.concatenate([pos, pos + 10.0]))
+        assert greedy_spanner(udg, t=math.inf).n_edges == udg.n - 2
+
+    def test_nan_t_rejected(self, udg):
+        from repro.topologies.greedy_spanner import greedy_spanner
+        from repro.topologies.life import lise
+
+        with pytest.raises(ValueError):
+            greedy_spanner(udg, t=math.nan)
+        with pytest.raises(ValueError):
+            lise(udg, t=math.nan)
 
 
 class TestDelaunay:

@@ -50,6 +50,18 @@ class TestXtcQuality:
             xtc_with_quality(udg, q_fwd).edges, xtc_with_quality(udg, q_rev).edges
         )
 
+    def test_quality_called_once_per_edge(self, udg):
+        calls = []
+
+        def quality(a, b):
+            calls.append((a, b))
+            return float(np.hypot(*(udg.positions[a] - udg.positions[b])))
+
+        out = xtc_with_quality(udg, quality)
+        assert len(calls) == udg.n_edges
+        assert sorted(calls) == [tuple(e) for e in udg.edges.tolist()]
+        assert np.array_equal(out.edges, build("xtc", udg).edges)
+
     def test_constant_quality_keeps_everything(self, udg):
         """All links equal: tie-breaking by edge id means a witness must
         have a strictly smaller canonical id pair on *both* sides; with the
