@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     opt.add_argument(
         "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the search phase",
+        help="wall-clock budget for the whole solve",
     )
     opt.add_argument(
         "--json", type=Path, default=None,

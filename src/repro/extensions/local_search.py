@@ -7,18 +7,20 @@ lexicographic objective ``(I(G), sum of I(v))``. The secondary sum term
 lets the search traverse plateaus of equal maximum interference, which is
 where most of the improvement on random instances comes from.
 
-Candidate evaluation uses :class:`repro.interference.incremental.
-InterferenceTracker` so one swap trial costs O(k * n) for a cycle of
-length k instead of an O(n^2) recompute.
+Candidate evaluation uses :class:`TreeSwapEvaluator`, shared with the
+simulated-annealing heuristic of :mod:`repro.opt.heuristic`: one edge
+insertion or removal costs O(victims whose coverage changes), not a
+recompute.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
 
-from repro.interference.incremental import InterferenceTracker
+from repro.interference.receiver import ATOL, RTOL
 from repro.model.topology import Topology
 from repro.utils import as_generator
 
@@ -46,11 +48,120 @@ def tree_path(adj: list[set[int]], a: int, b: int) -> list[int]:
     return path
 
 
-def node_radius(adj: list[set[int]], pos: np.ndarray, u: int) -> float:
-    """Distance from ``u`` to its farthest neighbour in ``adj`` (0 if none)."""
-    if not adj[u]:
-        return 0.0
-    return max(float(np.hypot(*(pos[u] - pos[v]))) for v in adj[u])
+class TreeSwapEvaluator:
+    """Exact ``(I(G), sum of I(v))`` of a UDG subgraph under edge edits.
+
+    Coverage is the interference tracker's predicate: ``u`` covers ``v``
+    iff ``u`` has an edge and ``hypot(p_v - p_u) <= r_u * (1 + RTOL) +
+    ATOL``, with ``r_u`` the distance to ``u``'s farthest neighbour, so
+    the counts equal :class:`repro.interference.InterferenceTracker`'s.
+
+    Every admissible radius of ``u`` is at most its farthest UDG
+    neighbour's distance, so ``u``'s cover is always a prefix of its
+    *ball*: the nodes within that range, sorted by distance. A ball is
+    built from one O(n) distance row the first time ``u`` gets an edge,
+    together with ``u``'s per-neighbour distances; nothing ``n x n`` is
+    allocated. A radius change then moves only the slice between the old
+    and the new prefix, and a histogram of the counts keeps the maximum
+    current, so one edit costs O(changed victims) after a bisection.
+    """
+
+    def __init__(self, udg: Topology, edges):
+        n = udg.n
+        self.n = n
+        self.udg = udg
+        self.adj: list[set[int]] = [set() for _ in range(n)]
+        #: per node, distance to each UDG neighbour (built with the ball)
+        self._length: list[dict[int, float] | None] = [None] * n
+        self._ball_d: list[list[float] | None] = [None] * n
+        self._ball_v: list[list[int] | None] = [None] * n
+        #: per node, the length of its cover prefix (0 without edges)
+        self._reach = [0] * n
+        self.counts = [0] * n
+        self._hist = [0] * (n + 1)
+        self._hist[0] = n
+        self.max = 0
+        self.sum = 0
+        for u, v in edges:
+            self.adj[int(u)].add(int(v))
+            self.adj[int(v)].add(int(u))
+        for u in range(n):
+            if self.adj[u]:
+                self._refresh(u)
+
+    def objective(self) -> tuple[int, int]:
+        """``(I(G), sum of I(v))`` of the current edge set."""
+        return self.max, self.sum
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Current edges as sorted ``(lo, hi)`` pairs."""
+        adj = self.adj
+        return sorted((u, v) for u in range(self.n) for v in adj[u] if u < v)
+
+    def add_edge(self, u: int, v: int) -> None:
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self._refresh(u)
+        self._refresh(v)
+
+    def remove_edge(self, u: int, v: int) -> None:
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        self._refresh(u)
+        self._refresh(v)
+
+    def _build_ball(self, u: int) -> dict[int, float]:
+        pos = self.udg.positions
+        # the tracker's distance row, so the predicate matches bit for bit
+        d = np.hypot(pos[:, 0] - pos[u, 0], pos[:, 1] - pos[u, 1])
+        nbrs = np.fromiter(self.udg.neighbors(u), dtype=np.int64)
+        cutoff = float(d[nbrs].max()) * (1.0 + RTOL) + ATOL
+        ball = np.flatnonzero(d <= cutoff)
+        ball = ball[ball != u]
+        ball = ball[np.argsort(d[ball], kind="stable")]
+        self._ball_v[u] = ball.tolist()
+        self._ball_d[u] = d[ball].tolist()
+        lengths = dict(zip(nbrs.tolist(), d[nbrs].tolist()))
+        self._length[u] = lengths
+        return lengths
+
+    def _refresh(self, u: int) -> None:
+        """Re-derive ``u``'s cover from its current neighbours."""
+        nbrs = self.adj[u]
+        if nbrs:
+            lengths = self._length[u]
+            if lengths is None:
+                lengths = self._build_ball(u)
+            radius = max(lengths[v] for v in nbrs)
+            reach = bisect_right(self._ball_d[u], radius * (1.0 + RTOL) + ATOL)
+        else:
+            reach = 0
+        old = self._reach[u]
+        if reach == old:
+            return
+        self._reach[u] = reach
+        counts = self.counts
+        hist = self._hist
+        if reach > old:
+            top = self.max
+            for v in self._ball_v[u][old:reach]:
+                c = counts[v]
+                counts[v] = c + 1
+                hist[c] -= 1
+                hist[c + 1] += 1
+                if c == top:
+                    top += 1
+            self.max = top
+        else:
+            for v in self._ball_v[u][reach:old]:
+                c = counts[v]
+                counts[v] = c - 1
+                hist[c] -= 1
+                hist[c - 1] += 1
+            # each victim drops by one, so the maximum drops by at most one
+            if not hist[self.max]:
+                self.max -= 1
+        self.sum += reach - old
 
 
 def reduce_interference(
@@ -71,15 +182,18 @@ def reduce_interference(
         Euclidean MST of ``udg``. Non-tree starts are first pruned to a
         spanning tree (extra edges only ever add interference).
     max_rounds:
-        Full passes over the candidate edges without improvement before
-        stopping.
+        Kept for compatibility; any value ``>= 1`` behaves the same. The
+        search makes full passes over the candidate edges in a fresh
+        random order and stops after the first pass that finds no
+        improving swap. That tree is a fixed point: a further pass would
+        find no swap either. ``0`` skips the search and returns the
+        start's spanning tree.
 
     Returns a topology with ``I(G)`` no worse than the start's.
     """
     from repro.graphs.mst import euclidean_mst_edges
 
     pos = udg.positions
-    n = udg.n
     if start is None:
         tree_edges = euclidean_mst_edges(pos, candidate_edges=udg.edges)
     else:
@@ -88,36 +202,14 @@ def reduce_interference(
         if not start.is_connected():
             raise ValueError("start must be connected")
         tree_edges = euclidean_mst_edges(pos, candidate_edges=start.edges)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in tree_edges:
-        adj[u].add(int(v))
-        adj[v].add(int(u))
-
-    tracker = InterferenceTracker.from_topology(Topology(pos, tree_edges))
+    ev = TreeSwapEvaluator(udg, tree_edges)
+    adj = ev.adj
     rng = as_generator(seed)
     candidates = [tuple(map(int, e)) for e in udg.edges]
 
-    def objective() -> tuple[int, int]:
-        counts = tracker.node_interference()
-        return int(counts.max()), int(counts.sum())
-
-    def apply_edge_change(u, v, *, add: bool):
-        if add:
-            adj[u].add(v)
-            adj[v].add(u)
-        else:
-            adj[u].discard(v)
-            adj[v].discard(u)
-        for w in (u, v):
-            r = node_radius(adj, pos, w)
-            if adj[w]:
-                tracker.set_radius(w, r)
-            else:
-                tracker.deactivate(w)
-
-    best = objective()
-    stale = 0
-    while stale < max_rounds:
+    best = ev.objective()
+    improved = max_rounds > 0
+    while improved:
         improved = False
         order = rng.permutation(len(candidates))
         for idx in order:
@@ -125,25 +217,19 @@ def reduce_interference(
             if b in adj[a]:
                 continue
             path = tree_path(adj, a, b)
-            apply_edge_change(a, b, add=True)
+            ev.add_edge(a, b)
             swap_done = False
             for x, y in zip(path, path[1:]):
-                apply_edge_change(x, y, add=False)
-                cand = objective()
+                ev.remove_edge(x, y)
+                cand = ev.objective()
                 if cand < best:
                     best = cand
                     swap_done = True
                     break
-                apply_edge_change(x, y, add=True)
+                ev.add_edge(x, y)
             if not swap_done:
-                apply_edge_change(a, b, add=False)
+                ev.remove_edge(a, b)
             else:
                 improved = True
-        stale = 0 if improved else stale + 1
-        if not improved:
-            break
 
-    edges = sorted(
-        (min(u, v), max(u, v)) for u in range(n) for v in adj[u] if u < v
-    )
-    return Topology(pos, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return Topology(pos, np.array(ev.edges(), dtype=np.int64).reshape(-1, 2))

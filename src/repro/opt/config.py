@@ -24,9 +24,12 @@ class OptConfig:
     Parameters
     ----------
     time_budget_s:
-        Wall-clock budget for the branch-and-bound search. ``None`` means
-        unlimited. On exhaustion the solver returns the best *certified
-        bracket* found so far (status ``"budget"``) instead of raising.
+        Wall-clock budget for the whole solve, counted from entry: the
+        bounds and the heuristic upper bound use it up too. ``None`` means
+        unlimited. It is checked before each decision search and every
+        256 expansions within one, so the heuristic can overrun it. On
+        exhaustion the solver returns the best *certified bracket* found
+        so far (status ``"budget"``) instead of raising.
     node_budget:
         Maximum number of search-tree nodes to expand (across all
         interference targets ``k``). ``None`` means unlimited. The

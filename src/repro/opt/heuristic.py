@@ -5,7 +5,8 @@ beyond ~16 nodes need *some* certified upper bound even when the search
 cannot finish. This module provides both: a seeded simulated-annealing
 walk over spanning trees of the unit disk graph (the same edge-swap move
 as :func:`repro.extensions.local_search.reduce_interference`, whose
-helpers it reuses), followed by the deterministic hill-climb itself. The
+path helper and :class:`~repro.extensions.local_search.TreeSwapEvaluator`
+it reuses), followed by the deterministic hill-climb itself. The
 result is a connected UDG-subgraph witness, so its measured interference
 is always a valid certified upper bound on OPT.
 
@@ -25,12 +26,11 @@ import numpy as np
 
 from repro import obs
 from repro.extensions.local_search import (
-    node_radius,
+    TreeSwapEvaluator,
     reduce_interference,
     tree_path,
 )
 from repro.graphs.mst import euclidean_mst_edges
-from repro.interference.incremental import InterferenceTracker
 from repro.interference.receiver import graph_interference
 from repro.model.topology import Topology
 from repro.opt.config import OptConfig
@@ -79,37 +79,19 @@ def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
     pos = udg.positions
     n = udg.n
     tree_edges = euclidean_mst_edges(pos, candidate_edges=udg.edges)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in tree_edges:
-        adj[u].add(int(v))
-        adj[v].add(int(u))
-    tracker = InterferenceTracker.from_topology(Topology(pos, tree_edges))
     rng = as_generator(seed)
     candidates = [tuple(map(int, e)) for e in udg.edges]
     if not candidates or n <= 2:
         return Topology(pos, tree_edges)
+    ev = TreeSwapEvaluator(udg, tree_edges)
+    adj = ev.adj
 
     def scalar_objective() -> int:
-        counts = tracker.node_interference()
-        return int(counts.max()) * n * n + int(counts.sum())
-
-    def apply_edge_change(u: int, v: int, *, add: bool) -> None:
-        if add:
-            adj[u].add(v)
-            adj[v].add(u)
-        else:
-            adj[u].discard(v)
-            adj[v].discard(u)
-        for w in (u, v):
-            r = node_radius(adj, pos, w)
-            if adj[w]:
-                tracker.set_radius(w, r)
-            else:
-                tracker.deactivate(w)
+        return ev.max * n * n + ev.sum
 
     current = scalar_objective()
     best = current
-    best_edges = {tuple(sorted(e)) for e in map(tuple, tree_edges)}
+    best_edges = ev.edges()
     n_steps = steps if steps is not None else ANNEAL_STEPS_PER_NODE * n
     # geometric cooling from "accepts most moves" to "effectively greedy":
     # t0 scales with n^2 because the flattened objective does.
@@ -126,8 +108,8 @@ def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
         path = tree_path(adj, a, b)
         cycle = list(zip(path, path[1:]))
         x, y = cycle[int(rng.integers(len(cycle)))]
-        apply_edge_change(a, b, add=True)
-        apply_edge_change(x, y, add=False)
+        ev.add_edge(a, b)
+        ev.remove_edge(x, y)
         cand = scalar_objective()
         delta = cand - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
@@ -135,13 +117,11 @@ def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
             accepted += 1
             if current < best:
                 best = current
-                best_edges = {
-                    (min(u, v), max(u, v)) for u in range(n) for v in adj[u] if u < v
-                }
+                best_edges = ev.edges()
         else:  # revert
-            apply_edge_change(x, y, add=True)
-            apply_edge_change(a, b, add=False)
+            ev.add_edge(x, y)
+            ev.remove_edge(a, b)
     obs.count("opt.anneal.proposals", n_steps)
     obs.count("opt.anneal.accepted", accepted)
-    edges = np.array(sorted(best_edges), dtype=np.int64).reshape(-1, 2)
+    edges = np.array(best_edges, dtype=np.int64).reshape(-1, 2)
     return Topology(pos, edges)

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
 from repro import obs
 from repro.geometry.points import distance_matrix
-from repro.graphs.unionfind import DisjointSet
 from repro.interference.receiver import graph_interference
 from repro.model.topology import Topology
 from repro.opt.bounds import combinatorial_lower_bound
@@ -84,16 +84,16 @@ class _Budget:
         )
         self.expanded = 0
 
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise _BudgetExhausted
+
     def tick(self) -> None:
         self.expanded += 1
         if self.node_budget is not None and self.expanded > self.node_budget:
             raise _BudgetExhausted
-        if (
-            self.deadline is not None
-            and (self.expanded & _TIME_CHECK_MASK) == 0
-            and time.perf_counter() > self.deadline
-        ):
-            raise _BudgetExhausted
+        if (self.expanded & _TIME_CHECK_MASK) == 0:
+            self.check_deadline()
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,10 @@ def solve_opt(
     Raises ``ValueError`` for unconnectable instances or ``n``
     beyond :data:`SOLVER_MAX_NODES`.
     """
-    pos = check_positions(positions)
     cfg = config or OptConfig()
+    # the time budget covers the whole solve, bounds and heuristic included
+    budget = _Budget(cfg)
+    pos = check_positions(positions)
     n = pos.shape[0]
     if n > SOLVER_MAX_NODES:
         raise ValueError(
@@ -189,11 +191,13 @@ def solve_opt(
 
         proven_lb = lb0
         status = "optimal"
-        budget = _Budget(cfg)
         search = _DecisionSearch(pos, dist, unit=unit, tolerance=tol, stats=stats)
         try:
             k = lb0
             while k < ub:
+                # the heuristic or the previous search may have used up the
+                # time budget; the tick only reads the clock every 256 nodes
+                budget.check_deadline()
                 stats["searches"] += 1
                 with obs.span("opt.search", k=k):
                     found = search.feasible(k, budget)
@@ -244,12 +248,20 @@ class _DecisionSearch:
     """Reusable decision procedure: is some connected assignment with
     coverage at most ``k`` reachable? Nodes are searched most-constrained
     first (largest forced disk), which triggers the coverage prunings as
-    early as possible."""
+    early as possible.
+
+    The state lives in Python ints used as bitsets over the search order
+    (``n <= SOLVER_MAX_NODES``): ``out[u]`` is the set ``u``'s disk covers
+    (its largest candidate disk while unassigned) and ``inbound[v]`` the
+    assigned nodes whose disks cover ``v``. Edge ``{a, b}`` of ``E(r)``
+    exists iff ``b`` is in ``out[a] & inbound[a]``. Every set comes from
+    the :func:`coverage_masks` booleans, so each check decides exactly
+    what the dense distance comparisons decide and the search tree is
+    unchanged.
+    """
 
     def __init__(self, pos, dist, *, unit, tolerance, stats):
-        self.n = pos.shape[0]
-        self.unit = unit
-        self.tol = tolerance
+        self.n = n = pos.shape[0]
         self.stats = stats
         cands_orig = candidate_radii(dist, unit=unit, tolerance=tolerance)
         if any(c.size == 0 for c in cands_orig):
@@ -259,129 +271,131 @@ class _DecisionSearch:
             )
         forced_size = np.array([c[0] for c in cands_orig], dtype=np.float64)
         self.order = np.argsort(-forced_size, kind="stable")
-        self.pos = pos[self.order]
-        self.dist = dist[np.ix_(self.order, self.order)]
-        self.cands = candidate_radii(self.dist, unit=unit, tolerance=tolerance)
-        bool_masks = coverage_masks(self.dist, self.cands, tolerance=tolerance)
-        # int64 copies so the hot loop adds without per-expansion casts
-        self.masks = [m.astype(np.int64) for m in bool_masks]
-        n = self.n
-        forced = np.array([self.masks[u][0] for u in range(n)], dtype=np.int64)
-        self.forced_suffix = np.zeros((n + 1, n), dtype=np.int64)
+        pos = pos[self.order]
+        dist = dist[np.ix_(self.order, self.order)]
+        cands = candidate_radii(dist, unit=unit, tolerance=tolerance)
+        masks = coverage_masks(dist, cands, tolerance=tolerance)
+        self.cands = [c.tolist() for c in cands]
+        #: per (node, candidate): the covered nodes as an index tuple (for
+        #: the counts) and as a bitset (for the partner/connectivity checks)
+        self.cover_idx = [
+            [tuple(np.flatnonzero(row).tolist()) for row in m] for m in masks
+        ]
+        self.cover = [
+            [sum(1 << v for v in idx) for idx in rows] for rows in self.cover_idx
+        ]
+        self.max_cover = [rows[-1] for rows in self.cover]
+        #: max_in[a]: the nodes whose largest candidate disk covers ``a``
+        self.max_in = [
+            sum(1 << b for b in range(n) if self.max_cover[b] >> a & 1)
+            for a in range(n)
+        ]
+        self.forced_suffix = [[0] * n for _ in range(n + 1)]
         for u in range(n - 1, -1, -1):
-            self.forced_suffix[u] = self.forced_suffix[u + 1] + forced[u]
-        self.max_cand = np.array([c[-1] for c in self.cands], dtype=np.float64)
+            row = list(self.forced_suffix[u + 1])
+            for v in self.cover_idx[u][0]:
+                row[v] += 1
+            self.forced_suffix[u] = row
         # coincident-node symmetry: identical positions are interchangeable
-        self.same_as_prev = np.zeros(n, dtype=bool)
-        for u in range(1, n):
-            self.same_as_prev[u] = bool(
-                np.all(self.pos[u] == self.pos[u - 1])
-            )
+        self.same_as_prev = [False] + [
+            bool(np.all(pos[u] == pos[u - 1])) for u in range(1, n)
+        ]
 
     def feasible(self, k: int, budget: _Budget) -> np.ndarray | None:
         """Radius vector (original node order) with coverage <= ``k`` and
         ``E(r)`` connected, or ``None`` if no such assignment exists."""
         n = self.n
-        counts = np.zeros(n, dtype=np.int64)
-        chosen = np.zeros(n, dtype=np.float64)
-        tol = 1.0 + self.tol
-        dist = self.dist
+        full = (1 << n) - 1
+        counts = [0] * n
+        chosen = [0.0] * n
+        out = list(self.max_cover)
+        inbound = [0] * n
         cands = self.cands
-        masks = self.masks
+        cover_idx = self.cover_idx
+        cover = self.cover
+        max_cover = self.max_cover
+        max_in = self.max_in
+        forced_suffix = self.forced_suffix
+        same_as_prev = self.same_as_prev
         stats = self.stats
 
-        def admits_partner(v: int, u_done: int) -> bool:
-            rv = chosen[v] * tol
-            for w in range(n):
-                if w == v or dist[v, w] > rv:
-                    continue
-                if w > u_done or chosen[w] * tol >= dist[v, w]:
-                    return True
-            return False
-
-        def isolation_ok(u_done: int) -> bool:
+        def isolation_ok(u_done: int, unassigned: int) -> bool:
             # every assigned node must still admit >= 1 partner: a node
-            # whose disk reaches nobody willing can never get an edge
-            if not admits_partner(u_done, u_done):
+            # whose disk reaches nobody willing can never get an edge. A
+            # partner of v is unassigned or covers v back.
+            if not out[u_done] & (unassigned | inbound[u_done]):
                 return False
-            ru = chosen[u_done] * tol
-            for v in range(u_done):
-                if dist[v, u_done] <= chosen[v] * tol and ru < dist[v, u_done]:
-                    if not admits_partner(v, u_done):
-                        return False
+            # assigned nodes reaching u_done that u_done does not reach back
+            rest = inbound[u_done] & ~out[u_done]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if not out[v] & (unassigned | inbound[v]):
+                    return False
             return True
 
-        idx = np.arange(n)
-
-        def optimistic_connected(u_done: int) -> bool:
-            # assigned nodes at their chosen radii, unassigned at their
-            # largest candidate: the superset of every completion's E(r);
-            # connectivity via vectorized BFS over the boolean adjacency
-            r_opt = np.where(idx <= u_done, chosen, self.max_cand) * tol
-            adj = dist <= np.minimum(r_opt[:, None], r_opt[None, :])
-            visited = adj[0].copy()
-            visited[0] = True
-            frontier = visited
-            while True:
-                nxt = adj[frontier].any(axis=0) & ~visited
-                if not nxt.any():
-                    return bool(visited.all())
-                visited = visited | nxt
-                frontier = nxt
-
-        def connected_exact() -> bool:
-            ds = DisjointSet(n)
-            for a in range(n):
-                ra = chosen[a] * tol
-                for b in range(a + 1, n):
-                    if dist[a, b] <= min(ra, chosen[b] * tol):
-                        ds.union(a, b)
-                        if ds.n_components == 1:
-                            return True
-            return ds.n_components == 1
+        def reaches_all(unassigned: int) -> bool:
+            # BFS from node 0 over E(r): assigned nodes at their chosen
+            # radii, unassigned ones at their largest candidate
+            seen = stack = 1
+            while stack:
+                low = stack & -stack
+                stack ^= low
+                a = low.bit_length() - 1
+                nxt = out[a] & (inbound[a] | unassigned & max_in[a]) & ~seen
+                seen |= nxt
+                stack |= nxt
+            return seen == full
 
         def dfs(u: int) -> bool:
-            if u == n:
-                return connected_exact()
+            if u == n:  # all assigned: the BFS runs over E(r) itself
+                return reaches_all(0)
             budget.tick()
-            if (counts + self.forced_suffix[u] > k).any():
+            if max(map(add, counts, forced_suffix[u])) > k:
                 stats["prune_forced"] += 1
                 obs.count("opt.prune.forced")
                 return False
-            floor = 0.0
-            if self.same_as_prev[u]:
-                floor = chosen[u - 1]
-            for j in range(cands[u].size):
-                if cands[u][j] < floor:
+            floor = chosen[u - 1] if same_as_prev[u] else 0.0
+            bit = 1 << u
+            unassigned = full >> (u + 1) << (u + 1)
+            last = len(cands[u]) - 1
+            for j, r in enumerate(cands[u]):
+                if r < floor:
                     stats["prune_symmetry"] += 1
                     obs.count("opt.prune.symmetry")
                     continue
-                add = masks[u][j].astype(np.int64)
-                counts_new = counts + add
-                if counts_new.max() > k:
+                victims = cover_idx[u][j]
+                # counts never exceed k, so only a covered node can overflow
+                if any(counts[v] >= k for v in victims):
                     # larger candidates cover supersets: all further j fail
                     stats["prune_coverage"] += 1
                     obs.count("opt.prune.coverage")
                     break
-                counts[:] = counts_new
-                chosen[u] = cands[u][j]
-                ok = True
-                if not isolation_ok(u):
+                for v in victims:
+                    counts[v] += 1
+                    inbound[v] |= bit
+                chosen[u] = r
+                out[u] = cover[u][j]
+                if not isolation_ok(u, unassigned):
                     stats["prune_isolation"] += 1
                     obs.count("opt.prune.isolation")
-                    ok = False
-                elif cands[u][j] < self.max_cand[u] and not optimistic_connected(u):
+                elif j < last and not reaches_all(unassigned):
+                    # the optimistic graph is the union of every
+                    # completion's E(r): disconnected means none connects
                     stats["prune_connectivity"] += 1
                     obs.count("opt.prune.connectivity")
-                    ok = False
-                if ok and dfs(u + 1):
+                elif dfs(u + 1):
                     return True
-                counts[:] = counts_new - add
+                for v in victims:
+                    counts[v] -= 1
+                    inbound[v] ^= bit
             chosen[u] = 0.0
+            out[u] = max_cover[u]
             return False
 
         if dfs(0):
-            out = np.zeros(n, dtype=np.float64)
-            out[self.order] = chosen
-            return out
+            radii = np.zeros(n, dtype=np.float64)
+            radii[self.order] = chosen
+            return radii
         return None

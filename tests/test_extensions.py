@@ -118,6 +118,16 @@ class TestLocalSearch:
             with pytest.raises(ValueError, match="subtopology"):
                 reduce_interference(udg, start=foreign)
 
+    def test_max_rounds_beyond_one_changes_nothing(self):
+        # the search stops at the first pass without an improving swap,
+        # a fixed point, so every max_rounds >= 1 gives the same tree
+        for seed in (0, 4):
+            pos = random_udg_connected(30, side=2.5, seed=seed)
+            udg = unit_disk_graph(pos)
+            one = reduce_interference(udg, seed=seed, max_rounds=1)
+            many = reduce_interference(udg, seed=seed, max_rounds=30)
+            assert np.array_equal(one.edges, many.edges)
+
     def test_deterministic_given_seed(self):
         pos = random_udg_connected(25, side=2.0, seed=13)
         udg = unit_disk_graph(pos)

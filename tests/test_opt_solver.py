@@ -91,6 +91,16 @@ class TestBudgets:
         assert outcome.status in ("budget", "optimal")
         assert verify_certificate(pos, outcome.certificate)
 
+    def test_spent_time_budget_stops_before_the_search(self):
+        # the deadline runs from solve_opt entry, so the bounds and the
+        # heuristic alone use up a microsecond budget: no node is expanded
+        pos = exponential_chain(16)
+        outcome = solve_opt(pos, config=OptConfig(time_budget_s=1e-6))
+        assert outcome.status == "budget"
+        assert outcome.stats["nodes_expanded"] == 0
+        assert outcome.lower_bound < outcome.value
+        assert verify_certificate(pos, outcome.certificate)
+
     def test_budget_does_not_change_small_instance_optimum(self):
         pos = exponential_chain(8)
         free = solve_opt(pos)
