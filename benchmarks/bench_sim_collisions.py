@@ -1,27 +1,28 @@
 """Bench E10: the packet-level simulation substrate.
 
-Times the slotted-ALOHA, gather and CSMA simulators while re-asserting the
-model-validation shape (I(v) predicts collisions; low-I topologies lose
-fewer packets).
+Times slotted ALOHA (the MAC engine's plain configuration), the gather
+and the CSMA simulators while re-asserting the model-validation shape
+(I(v) predicts collisions; low-I topologies lose fewer packets).
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments.sim_collisions import slotted_aloha
 from repro.geometry.generators import exponential_chain, random_udg_connected
 from repro.highway.a_exp import a_exp
 from repro.highway.linear import linear_chain
 from repro.model.udg import unit_disk_graph
 from repro.sim.csma import CsmaSimulator
 from repro.sim.metrics import collision_interference_correlation
-from repro.sim.slotted import GatherSimulator, SlottedAlohaSimulator
+from repro.sim.slotted import GatherSimulator
 from repro.sim.traffic import gather_tree
 
 
 @pytest.mark.benchmark(group="sim")
 def test_slotted_aloha_linear_chain(benchmark):
     topo = linear_chain(exponential_chain(40))
-    sim = SlottedAlohaSimulator(topo, p=0.15)
+    sim = slotted_aloha(topo, 0.15)
     res = benchmark(sim.run, 2000, seed=11)
     corr, _ = collision_interference_correlation(topo, res.collision_rate)
     assert corr > 0.85
@@ -31,9 +32,9 @@ def test_slotted_aloha_linear_chain(benchmark):
 def test_slotted_aloha_aexp_beats_linear(benchmark):
     pos = exponential_chain(40)
     aexp_t = a_exp(pos)
-    sim = SlottedAlohaSimulator(aexp_t, p=0.15)
+    sim = slotted_aloha(aexp_t, 0.15)
     res = benchmark(sim.run, 2000, seed=11)
-    lin_res = SlottedAlohaSimulator(linear_chain(pos), p=0.15).run(2000, seed=11)
+    lin_res = slotted_aloha(linear_chain(pos), 0.15).run(2000, seed=11)
     assert np.nanmean(res.collision_rate) < np.nanmean(lin_res.collision_rate)
 
 

@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.experiments.sim_collisions import slotted_aloha
+from repro.experiments.sinr_validation import loss_rate
 from repro.geometry.generators import exponential_chain
 from repro.highway.a_exp import a_exp
 from repro.highway.linear import linear_chain
 from repro.mobility import RandomWaypointModel, TopologyTimeline
-from repro.sim.backoff import BebAlohaSimulator
-from repro.sim.sinr import SinrSlottedSimulator
+from repro.mac import SaturatedAlohaSimulator
 from repro.topologies import build
 
 
 @pytest.mark.benchmark(group="sinr")
 def test_sinr_slotted(benchmark):
     pos = exponential_chain(40)
-    sim = SinrSlottedSimulator(linear_chain(pos), p=0.15)
+    sim = slotted_aloha(linear_chain(pos), 0.15, capture="sinr")
     res = benchmark(sim.run, 1500, seed=3)
     assert res.rx_ok.sum() > 0
 
@@ -27,9 +28,9 @@ def test_sinr_ranking(benchmark):
     lin = linear_chain(pos)
 
     def run():
-        a = SinrSlottedSimulator(aex, p=0.15).run(1000, seed=4)
-        b = SinrSlottedSimulator(lin, p=0.15).run(1000, seed=4)
-        return float(np.nanmean(a.loss_rate)), float(np.nanmean(b.loss_rate))
+        a = slotted_aloha(aex, 0.15, capture="sinr").run(1000, seed=4)
+        b = slotted_aloha(lin, 0.15, capture="sinr").run(1000, seed=4)
+        return float(np.nanmean(loss_rate(a))), float(np.nanmean(loss_rate(b)))
 
     a_loss, b_loss = benchmark(run)
     assert a_loss < b_loss
@@ -38,7 +39,7 @@ def test_sinr_ranking(benchmark):
 @pytest.mark.benchmark(group="beb")
 def test_beb_saturation(benchmark):
     pos = exponential_chain(40)
-    sim = BebAlohaSimulator(a_exp(pos))
+    sim = SaturatedAlohaSimulator(a_exp(pos), policy="beb", cw_max=256)
     res = benchmark(sim.run, 2000, seed=5)
     assert res.deliveries.sum() > 0
 

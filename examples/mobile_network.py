@@ -11,9 +11,9 @@ collision benefit persists throughout. Run with
 import numpy as np
 
 from repro.analysis.tables import format_table
+from repro.experiments.sim_collisions import slotted_aloha
 from repro.mobility import RandomWaypointModel, TopologyTimeline
 from repro.model.udg import unit_disk_graph
-from repro.sim.slotted import SlottedAlohaSimulator
 from repro.topologies import build
 
 
@@ -52,7 +52,7 @@ def main() -> None:
     for label, frame in (("t=0", frames[0]), ("t=30", frames[-1])):
         udg = unit_disk_graph(frame)
         for name, topo in (("udg", udg), ("emst", build("emst", udg))):
-            res = SlottedAlohaSimulator(topo, p=0.15).run(1500, seed=7)
+            res = slotted_aloha(topo, 0.15).run(1500, seed=7)
             rows.append(
                 [label, name, round(float(np.nanmean(res.collision_rate)), 3)]
             )

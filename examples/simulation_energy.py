@@ -13,13 +13,14 @@ retransmissions per delivered packet. Run with
 import numpy as np
 
 from repro.analysis.tables import format_table
+from repro.experiments.sim_collisions import slotted_aloha
 from repro.geometry.generators import exponential_chain, random_udg_connected
 from repro.highway import a_exp, linear_chain
 from repro.interference.receiver import graph_interference
 from repro.model.udg import unit_disk_graph
 from repro.sim.csma import CsmaSimulator
 from repro.sim.metrics import collision_interference_correlation, transmit_energy
-from repro.sim.slotted import GatherSimulator, SlottedAlohaSimulator
+from repro.sim.slotted import GatherSimulator
 from repro.sim.traffic import gather_tree
 from repro.topologies import build
 
@@ -29,7 +30,7 @@ def main() -> None:
     pos = exponential_chain(40)
     rows = []
     for name, topo in (("linear", linear_chain(pos)), ("A_exp", a_exp(pos))):
-        res = SlottedAlohaSimulator(topo, p=0.15).run(5000, seed=1)
+        res = slotted_aloha(topo, 0.15).run(5000, seed=1)
         corr, _ = collision_interference_correlation(topo, res.collision_rate)
         gout = GatherSimulator(topo, gather_tree(topo, 0), p=0.1, source_period=200).run(
             4000, seed=2

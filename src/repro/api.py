@@ -4,23 +4,9 @@
 stable, grouped by layer. Code that imports from here is insulated from
 internal reorganisation: inner modules may move or grow, but a name in
 :data:`__all__` only ever changes behaviour through the documented
-deprecation policy (see ``docs/API.md``):
-
-1. the old name keeps working for at least one release, emitting a
-   ``DeprecationWarning`` that names its replacement (module-level
-   ``__getattr__`` shim, see ``_DEPRECATED`` below);
-2. the replacement appears in :data:`__all__` immediately;
-3. the public-API snapshot test (``tests/data/public_api.txt``) fails CI
-   on any accidental surface change, so additions and removals are
-   always deliberate and reviewed.
-
-Two names are facade-side standardisations of bare inner-module names and
-are shimmed for callers migrating from those imports:
-
-- ``repro.api.build`` → :func:`build_topology`
-  (``repro.topologies.build`` stays canonical in its own module)
-- ``repro.api.run`` → :func:`run_experiment`
-  (``repro.experiments.run`` stays canonical in its own module)
+deprecation policy (see ``docs/API.md``). The public-API snapshot test
+(``tests/data/public_api.txt``) fails CI on any accidental surface
+change, so additions and removals are always deliberate and reviewed.
 
 Quickstart::
 
@@ -32,8 +18,6 @@ Quickstart::
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro import obs
 from repro.cluster import (
@@ -300,30 +284,3 @@ __all__ = [
     # observability
     "obs",
 ]
-
-#: deprecated name -> (replacement name, replacement object). Accessing a
-#: key warns once per call site and returns the replacement, per the
-#: deprecation policy in ``docs/API.md``.
-_DEPRECATED = {
-    "build": ("build_topology", build_topology),
-    "run": ("run_experiment", run_experiment),
-}
-
-
-def __getattr__(name: str):
-    try:
-        replacement, obj = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.api.{name} is deprecated; use repro.api.{replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return obj
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED))

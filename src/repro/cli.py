@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     from repro.mac.policies import BACKOFF_POLICIES
 
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro",
         description=(
             "Reproduction experiments for 'A Robust Interference Model for "
             "Wireless Ad-Hoc Networks' (von Rickenbach et al., IPPS 2005)"

@@ -18,11 +18,34 @@ from repro.geometry.generators import exponential_chain, random_udg_connected
 from repro.highway.a_exp import a_exp
 from repro.highway.linear import linear_chain
 from repro.interference.receiver import graph_interference
+from repro.mac import MacConfig, MacSimulator
+from repro.model.topology import Topology
 from repro.model.udg import unit_disk_graph
 from repro.sim.metrics import collision_interference_correlation, transmit_energy
-from repro.sim.slotted import GatherSimulator, SlottedAlohaSimulator
+from repro.sim.slotted import GatherSimulator
 from repro.sim.traffic import gather_tree
 from repro.topologies import build
+
+
+def slotted_aloha(
+    topology: Topology, p: float, *, capture: str = "disk"
+) -> MacSimulator:
+    """Plain slotted ALOHA on the MAC engine: in every slot each node
+    sends one packet with probability ``p`` to a uniformly chosen
+    neighbour, exactly once, and never backs off.
+
+    ``window=1`` draws no wait (``integers(1)`` consumes no random bits),
+    ``queue_limit=1`` with ``ack=False`` empties every queue in the slot
+    it fills, so the RNG stream and the per-node tallies equal the 1.x
+    slotted-ALOHA engines (disk and SINR) bit for bit; the frozen copies
+    in ``tests/test_mac_reference.py`` hold this line.
+    """
+    config = MacConfig(
+        traffic="bernoulli", load=p, queue_limit=1, ack=False, capture=capture
+    )
+    return MacSimulator(
+        topology, policy="uniform", window=1, cw_min=1, config=config
+    )
 
 
 def _cases(seed: int):
@@ -45,8 +68,7 @@ def run_sim(seed: int = 3, n_slots: int = 4000, p: float = 0.15) -> ExperimentRe
     rows = []
     data = {"cases": [], "corr": [], "mean_collision": []}
     for name, topo in _cases(seed):
-        sim = SlottedAlohaSimulator(topo, p=p)
-        res = sim.run(n_slots, seed=seed)
+        res = slotted_aloha(topo, p).run(n_slots, seed=seed)
         corr, pval = collision_interference_correlation(topo, res.collision_rate)
         parent = gather_tree(topo, sink=0)
         g = GatherSimulator(topo, parent, p=0.1, source_period=150)

@@ -251,6 +251,22 @@ def average_interference(
     return float(vec.mean()) if vec.size else 0.0
 
 
+def coverage_matrix(topology: Topology) -> np.ndarray:
+    """Dense boolean ``(n, n)`` matrix: ``covers[u, v]`` iff ``u``'s disk
+    covers ``v`` (self excluded), under the default tolerances every
+    kernel counts with.
+
+    Column sums are ``I(v)``. O(n^2) memory, so it serves the packet
+    simulators, which index single pairs and sum sender rows per slot.
+    """
+    pos = topology.positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    covers = d <= (topology.radii * (1.0 + RTOL) + ATOL)[:, None]
+    np.fill_diagonal(covers, False)
+    return covers
+
+
 def coverage_counts(topology: Topology, *, rtol: float = RTOL, atol: float = ATOL):
     """Pairs ``(interferers, covered)``: for each node, how many others it
     is disturbed by (``I(v)``) and how many others its own disk covers.

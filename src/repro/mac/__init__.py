@@ -1,11 +1,20 @@
 """MAC-layer contention suite over the paper's topologies.
 
 The dynamic counterpart of the static receiver-centric interference
-measure: a pluggable backoff-policy zoo (:data:`BACKOFF_POLICIES`), a
-saturated slotted-ALOHA engine bitwise-compatible with the deprecated
-``repro.sim.backoff.BebAlohaSimulator``, and a queued slotted-ALOHA/CSMA
-engine with traffic sources, duty cycles, ack/retransmit and an
-SINR-threshold capture effect. See ``docs/MAC.md``.
+measure, and the package's home for slotted one-hop contention:
+
+- a pluggable backoff-policy zoo (:data:`BACKOFF_POLICIES`);
+- :class:`MacSimulator`, a queued slotted-ALOHA/CSMA engine with traffic
+  sources, duty cycles, ack/retransmit and disk or SINR-threshold
+  capture. Plain slotted ALOHA (each node sends with probability ``p``
+  per slot, no backoff) is one configuration of it, see
+  :func:`repro.experiments.sim_collisions.slotted_aloha`;
+- :class:`SaturatedAlohaSimulator`, the saturation-throughput engine; it
+  keeps its own slot loop because no :class:`MacSimulator` configuration
+  reproduces its RNG draw order (see its module docstring).
+
+Hop-by-hop gathering and continuous-time CSMA stay in :mod:`repro.sim`.
+See ``docs/MAC.md``.
 """
 
 from repro.mac.engine import MacConfig, MacResult, MacSimulator

@@ -12,8 +12,9 @@ Reception is resolved per slot under one of two physical models:
 - ``capture="sinr"`` — the SINR-threshold capture effect: a reception
   survives concurrent transmitters as long as
   ``P_u g(u,v) / (N + sum_w P_w g(w,v)) >= beta``, with the same
-  power/path-loss conventions as :mod:`repro.sim.sinr` (minimum power
-  closing the farthest link at threshold, times a link-budget margin).
+  power/path-loss conventions as Aslanyan's SINR slotted model
+  (arXiv:1107.4222): each node transmits with the minimum power closing
+  its farthest link at threshold, times a link-budget margin.
 
 With ``mode="csma"`` a node senses before transmitting and defers
 (counted, with a fresh backoff draw) while any *audible* transmission
@@ -40,13 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.interference.receiver import RTOL
+from repro.interference.receiver import coverage_matrix
 from repro.mac.policies import BackoffPolicy, BackoffState, make_policy
-from repro.model.topology import Topology
-from repro.sim.engine import Simulator  # noqa: F401  (re-exported substrate)
-from repro.utils import as_generator
-
 from repro.mac.saturated import BUSY_EWMA_ALPHA
+from repro.model.topology import Topology
+from repro.utils import as_generator
 
 TRAFFIC_KINDS = ("bernoulli", "poisson", "saturated")
 CAPTURE_KINDS = ("disk", "sinr")
@@ -93,6 +92,8 @@ class MacConfig:
             raise ValueError(f"capture must be one of {CAPTURE_KINDS}")
         if self.load < 0:
             raise ValueError("load must be non-negative")
+        if self.traffic == "bernoulli" and self.load > 1:
+            raise ValueError("a bernoulli load is a probability: need load <= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.tx_slots < 1:
@@ -235,11 +236,7 @@ class MacSimulator:
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = coverage_matrix(topology)
         if self.config.capture == "sinr":
             cfg = self.config
             self._power = (
@@ -249,9 +246,11 @@ class MacSimulator:
                 * np.maximum(topology.radii, 1e-300) ** cfg.alpha
             )
             self._power[topology.degrees == 0] = 0.0
-            d_inf = d.copy()
-            np.fill_diagonal(d_inf, np.inf)
-            self._gain = d_inf**-cfg.alpha
+            pos = topology.positions
+            diff = pos[:, None, :] - pos[None, :, :]
+            d = np.hypot(diff[..., 0], diff[..., 1])
+            np.fill_diagonal(d, np.inf)  # no self-reception; avoids 0**-alpha
+            self._gain = d**-cfg.alpha
 
     def run(self, n_slots: int, *, seed=None) -> MacResult:
         if n_slots < 0:

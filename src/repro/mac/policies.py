@@ -93,7 +93,9 @@ class UniformBackoff(BackoffPolicy):
     """Fixed window: every wait is uniform over the same ``[0, window)``.
 
     The no-memory baseline of the zoo (the LoRaWAN scripts' default when
-    all strategy flags are off, window 16).
+    all strategy flags are off, window 16). The window must itself lie
+    in ``[cw_min, cw_max]``; a window of 1 (transmit in the first slot a
+    packet is ready) needs ``cw_min=1``.
     """
 
     _name = "uniform"
@@ -101,8 +103,8 @@ class UniformBackoff(BackoffPolicy):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if not self.cw_min <= self.window <= self.cw_max:
+            raise ValueError("need cw_min <= window <= cw_max")
 
     def initial_window(self) -> int:
         return self.window

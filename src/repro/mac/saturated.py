@@ -1,17 +1,18 @@
 """Saturated slotted ALOHA under any registered backoff policy.
 
-The saturation setting of the legacy :class:`repro.sim.backoff.
-BebAlohaSimulator`, generalized over :data:`repro.mac.BACKOFF_POLICIES`:
-every node with at least one neighbour is permanently backlogged and
+Every node with at least one neighbour is permanently backlogged and
 addresses a uniformly random neighbour; a reception fails iff a second
 concurrent transmitter covers the receiver or the receiver is itself
 transmitting (disk model, no capture).
 
-The slot loop reproduces the legacy simulator's RNG draw order exactly —
-one ``integers(nbrs)`` receiver draw and one ``integers(window)`` wait
-draw per attempt, in ascending sender order — so the BEB policy run from
-the same seed is *bitwise identical* to the deprecated class (the
-differential test in ``tests/test_sim_backoff.py`` holds this line).
+Why this is not ``MacSimulator(config=MacConfig(traffic="saturated"))``:
+the slot loop interleaves the ``integers(nbrs)`` receiver draw and the
+``integers(window)`` wait draw per sender, in ascending sender order, and
+redraws a wait after *every* attempt; the queued engine draws every
+sender's receiver before any wait, and redraws a wait only while the
+sender's queue still holds a packet, so it cannot reproduce these runs
+bit for bit. ``policy="beb"`` run from the same seed is *bitwise
+identical* to the frozen BEB reference in ``tests/test_mac_reference.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.interference.receiver import RTOL
+from repro.interference.receiver import coverage_matrix
 from repro.mac.policies import BackoffPolicy, BackoffState, make_policy
 from repro.model.topology import Topology
 from repro.utils import as_generator
@@ -36,10 +37,9 @@ BUSY_EWMA_ALPHA = 0.1
 class SaturatedResult:
     """Per-node tallies of one saturated-ALOHA run.
 
-    Field-compatible with the legacy ``BebResult`` (which is now an alias
-    of this class): ``retransmissions`` counts attempts beyond the first
-    per *delivered* packet, ``mean_cw`` is the contention window observed
-    at delivery time.
+    Field-compatible with the 1.x ``BebResult``: ``retransmissions``
+    counts attempts beyond the first per *delivered* packet, ``mean_cw``
+    is the contention window observed at delivery time.
     """
 
     n_slots: int
@@ -87,11 +87,7 @@ class SaturatedAlohaSimulator:
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = coverage_matrix(topology)
 
     def run(self, n_slots: int, *, seed=None) -> SaturatedResult:
         if n_slots < 0:

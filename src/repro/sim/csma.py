@@ -9,6 +9,11 @@ fails iff some other transmission overlapping in time covers ``v``.
 Carrier sensing is receiver-blind (the classic hidden-terminal situation),
 so collisions at the receiver persist exactly where the receiver-centric
 measure predicts contention.
+
+Why this is not ``repro.mac.MacSimulator(config=MacConfig(mode="csma"))``:
+arrivals, backoffs and transmissions here happen at real-valued times,
+so two transmissions overlap partially; the MAC engine is slotted and
+cannot express unslotted timing.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.interference.receiver import RTOL
+from repro.interference.receiver import coverage_matrix
 from repro.model.topology import Topology
 from repro.sim.engine import Simulator
 from repro.utils import as_generator
@@ -76,11 +81,7 @@ class CsmaSimulator(Simulator):
             np.array(sorted(topology.neighbors(u)), dtype=np.int64)
             for u in range(n)
         ]
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = coverage_matrix(topology)
 
         self.attempts = np.zeros(n, dtype=np.int64)
         self.rx_ok = np.zeros(n, dtype=np.int64)

@@ -3,6 +3,8 @@
 A tiny but complete event-queue engine: events are ``(time, seq, callback)``
 triples ordered by time with FIFO tie-breaking (the monotone sequence
 number also keeps heap comparisons away from unorderable callbacks).
+It drives :mod:`repro.sim.csma`, whose continuous, unslotted time the
+slotted :mod:`repro.mac` engines do not model.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.interference.receiver import RTOL
+from repro.interference.receiver import coverage_matrix
 from repro.model.topology import Topology
 
 
@@ -29,12 +29,8 @@ def conflict_graph(topology: Topology) -> np.ndarray:
     reception of the other would be corrupted. Adjacent nodes always
     conflict (half-duplex).
     """
-    pos = topology.positions
     n = topology.n
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-    np.fill_diagonal(covers, False)
+    covers = coverage_matrix(topology)
 
     conflict = np.zeros((n, n), dtype=bool)
     for u in range(n):

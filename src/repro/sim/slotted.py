@@ -1,133 +1,22 @@
-"""Slotted-ALOHA MAC over disk interference.
+"""Data gathering to a sink over a routing tree with slotted ALOHA.
 
-Time is slotted. In every slot each node (independently, with probability
-``p``) transmits one packet to a uniformly chosen topology neighbour, using
-exactly its topology radius ``r_u``. A reception at ``v`` succeeds iff
+Reception follows the disk rule the receiver-centric measure counts: a
+packet from ``u`` reaches ``v`` iff ``v`` is not itself transmitting
+(half-duplex) and no other transmitter's disk covers ``v`` in that slot.
 
-- ``v`` is not itself transmitting (half-duplex), and
-- exactly one transmitter's disk covers ``v`` in that slot.
-
-The second condition is precisely what the receiver-centric measure counts
-in the worst case: ``I(v)`` is the number of *potential* co-coverers of
-``v``, so collision probability at ``v`` grows monotonically with ``I(v)``
-— the correlation the model-validation experiment (E10) measures.
+Why this is not :class:`repro.mac.MacSimulator`: the MAC engine delivers
+each packet one hop to a random neighbour, while gathering relays it hop
+by hop along ``parent`` pointers to a sink, so a received packet joins
+the receiver's queue. The MAC engine does not model forwarding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.interference.receiver import RTOL
+from repro.interference.receiver import coverage_matrix
 from repro.model.topology import Topology
 from repro.utils import as_generator
-
-
-@dataclass(frozen=True)
-class SlottedResult:
-    """Per-node tallies of one slotted-ALOHA run."""
-
-    n_slots: int
-    #: transmissions attempted by each node
-    attempts: np.ndarray
-    #: successful receptions addressed to each node
-    rx_ok: np.ndarray
-    #: failed receptions addressed to each node, by cause
-    rx_collision: np.ndarray
-    rx_half_duplex: np.ndarray
-    #: successful deliveries originated by each node
-    tx_ok: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def collision_rate(self) -> np.ndarray:
-        """Per receiver: fraction of addressed receptions lost to collisions.
-
-        Half-duplex losses are excluded from the denominator — they are a
-        property of the MAC, not of interference. NaN where a node was
-        never addressed.
-        """
-        addressed = self.rx_ok + self.rx_collision
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(addressed > 0, self.rx_collision / addressed, np.nan)
-
-    @property
-    def delivery_rate(self) -> np.ndarray:
-        """Per sender: fraction of attempts that were received successfully."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.attempts > 0, self.tx_ok / self.attempts, np.nan)
-
-
-class SlottedAlohaSimulator:
-    """Simulate slotted ALOHA over a fixed topology.
-
-    Parameters
-    ----------
-    topology:
-        The communication topology; transmissions use its derived radii.
-    p:
-        Per-slot transmit probability — scalar or per-node vector.
-    """
-
-    def __init__(self, topology: Topology, *, p: float | np.ndarray = 0.1):
-        self.topology = topology
-        n = topology.n
-        p_arr = np.broadcast_to(np.asarray(p, dtype=np.float64), (n,)).copy()
-        if np.any((p_arr < 0) | (p_arr > 1)):
-            raise ValueError("p must lie in [0, 1]")
-        # nodes without neighbours have nobody to talk to
-        p_arr[topology.degrees == 0] = 0.0
-        self.p = p_arr
-        self._neighbors = [
-            np.array(sorted(topology.neighbors(u)), dtype=np.int64)
-            for u in range(n)
-        ]
-        # covers[u, v]: u's disk covers v (self excluded)
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
-
-    def run(self, n_slots: int, *, seed=None) -> SlottedResult:
-        """Run ``n_slots`` slots; all randomness comes from ``seed``."""
-        if n_slots < 0:
-            raise ValueError("n_slots must be >= 0")
-        rng = as_generator(seed)
-        n = self.topology.n
-        attempts = np.zeros(n, dtype=np.int64)
-        rx_ok = np.zeros(n, dtype=np.int64)
-        rx_collision = np.zeros(n, dtype=np.int64)
-        rx_half = np.zeros(n, dtype=np.int64)
-        tx_ok = np.zeros(n, dtype=np.int64)
-        for _ in range(n_slots):
-            tx_mask = rng.random(n) < self.p
-            senders = np.nonzero(tx_mask)[0]
-            if senders.size == 0:
-                continue
-            attempts[senders] += 1
-            # how many transmitter disks cover each node this slot
-            cover_count = self._covers[senders].sum(axis=0)
-            for u in senders:
-                nbrs = self._neighbors[u]
-                v = int(nbrs[rng.integers(nbrs.size)])
-                if tx_mask[v]:
-                    rx_half[v] += 1
-                elif cover_count[v] == 1:  # only u covers v (u always does)
-                    rx_ok[v] += 1
-                    tx_ok[u] += 1
-                else:
-                    rx_collision[v] += 1
-        return SlottedResult(
-            n_slots=n_slots,
-            attempts=attempts,
-            rx_ok=rx_ok,
-            rx_collision=rx_collision,
-            rx_half_duplex=rx_half,
-            tx_ok=tx_ok,
-            meta={"p": self.p.copy()},
-        )
 
 
 class GatherSimulator:
@@ -136,8 +25,8 @@ class GatherSimulator:
     Every node periodically sources a packet; packets are forwarded hop by
     hop toward the sink along ``parent`` pointers. A node with a non-empty
     queue transmits its head-of-line packet with probability ``p`` per slot;
-    the packet advances only when the slotted-ALOHA reception (same rules
-    as :class:`SlottedAlohaSimulator`) succeeds, otherwise it stays queued —
+    the packet advances only when the slotted-ALOHA reception (disk rule,
+    see the module docstring) succeeds, otherwise it stays queued —
     interference thus shows up directly as retransmissions and delay, the
     energy story of the paper's introduction.
     """
@@ -158,11 +47,7 @@ class GatherSimulator:
             raise ValueError("parent must have one entry per node")
         self.p = float(p)
         self.source_period = int(source_period)
-        pos = topology.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        self._covers = d <= (topology.radii * (1.0 + RTOL))[:, None]
-        np.fill_diagonal(self._covers, False)
+        self._covers = coverage_matrix(topology)
 
     def run(self, n_slots: int, *, seed=None) -> dict:
         rng = as_generator(seed)

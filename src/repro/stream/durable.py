@@ -42,9 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from binascii import hexlify
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
@@ -71,10 +70,6 @@ __all__ = ["DurableStreamEngine", "RecoveryInfo"]
 #: legacy single-file log name; kept as an alias for older callers
 WAL_NAME = LEGACY_WAL_NAME
 META_NAME = "meta.json"
-
-#: segment size used by the deprecated ``wal_path=`` shim — large enough
-#: that rotation never triggers, i.e. a one-segment store
-_ONE_SEGMENT_BYTES = 1 << 62
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,9 +119,6 @@ class DurableStreamEngine:
 
     Construct via :meth:`create` (new stream directory) or :meth:`open`
     (recover an existing one); the positional constructor is internal.
-    The ``wal_path=`` keyword form from the single-file era is deprecated
-    but still works, mapping onto a one-segment store in the file's
-    directory.
     """
 
     def __init__(
@@ -136,22 +128,8 @@ class DurableStreamEngine:
         engine: StreamEngine | None = None,
         wal: SegmentedWal | None = None,
         recovery: RecoveryInfo | None = None,
-        *,
-        wal_path: str | Path | None = None,
     ):
-        if wal_path is not None:
-            warnings.warn(
-                "DurableStreamEngine(wal_path=...) is deprecated; the log "
-                "is segmented now — use DurableStreamEngine.create(directory"
-                ", config) or .open(directory) on the file's directory",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            built = self._from_wal_path(Path(wal_path), config)
-            directory, config = built.directory, built.config
-            engine, wal, recovery = built.engine, built._wal, built.recovery
-            built._closed = True  # ownership of the store moved here
-        elif directory is None or config is None or engine is None or wal is None:
+        if directory is None or config is None or engine is None or wal is None:
             raise TypeError(
                 "use DurableStreamEngine.create()/.open(); the positional "
                 "constructor is internal"
@@ -168,22 +146,6 @@ class DurableStreamEngine:
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
-
-    @classmethod
-    def _from_wal_path(
-        cls, wal_path: Path, config: StreamConfig | None
-    ) -> "DurableStreamEngine":
-        directory = wal_path.parent if wal_path.parent != Path("") else Path(".")
-        if (directory / META_NAME).exists():
-            return cls.open(directory)
-        if config is None:
-            raise TypeError(
-                "DurableStreamEngine(wal_path=...) on a fresh directory "
-                "also needs config="
-            )
-        return cls.create(
-            directory, replace(config, segment_bytes=_ONE_SEGMENT_BYTES)
-        )
 
     @classmethod
     def create(

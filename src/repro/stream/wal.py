@@ -39,7 +39,10 @@ segment opens, so only the *newest* segment can ever hold a torn tail;
 a torn or empty interior segment is corruption, not crash residue.
 A pre-segmentation single-file log (``wal.jsonl``) is read as a sealed
 legacy segment with ``first_seq == 1``; the writer never appends to it —
-the first append after migration rotates into a fresh segment.
+the first append after migration rotates into a fresh segment. This read
+path stays after 2.0.0 dropped the single-file constructor keyword: a stream
+directory written before segmentation has no other way in, and removing
+it needs a one-shot migrate command first.
 
 The storage seam is the runtime-checkable :class:`LogStore` protocol
 (``append`` / ``flush`` / ``scan`` / ``seal``), of which

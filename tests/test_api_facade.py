@@ -1,6 +1,5 @@
-"""The stable-API facade: exports, deprecation shims, surface snapshot."""
+"""The stable-API facade: exports, removed 1.x aliases, surface snapshot."""
 
-import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,6 @@ def current_surface() -> list[str]:
     """The live public surface in the snapshot file's line format."""
     lines = sorted(f"repro:{n}" for n in repro.__all__)
     lines += sorted(f"repro.api:{n}" for n in api.__all__)
-    lines += sorted(f"repro.api[deprecated]:{n}" for n in api._DEPRECATED)
     return lines
 
 
@@ -44,25 +42,20 @@ class TestFacadeExports:
 
 
 class TestDeprecationShim:
-    @pytest.mark.parametrize(
-        "old,new", [("build", "build_topology"), ("run", "run_experiment")]
-    )
-    def test_deprecated_alias_warns_and_resolves(self, old, new):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            obj = getattr(api, old)
-        assert obj is getattr(api, new)
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert new in str(caught[0].message)
+    """2.0.0 removed the 1.x aliases; the module has no shim left."""
 
     def test_unknown_attribute_raises_attributeerror(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             api.nope
 
-    def test_dir_lists_deprecated_names(self):
-        listing = dir(api)
-        assert "build" in listing and "build_topology" in listing
+    @pytest.mark.parametrize("old", ["build", "run"])
+    def test_removed_alias_raises_attributeerror(self, old):
+        with pytest.raises(AttributeError, match=f"no attribute '{old}'"):
+            getattr(api, old)
+        assert old not in dir(api)
+
+    def test_version_is_2(self):
+        assert repro.__version__ == "2.0.0"
 
 
 class TestPublicApiSnapshot:

@@ -98,6 +98,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_help_names_the_repro_program(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro ")
+
     def test_report_requires_out(self):
         with pytest.raises(SystemExit):
             main(["report"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.generators import random_udg_connected
+from repro.interference.receiver import node_interference
 from repro.mac import (
     BACKOFF_POLICIES,
     MacConfig,
@@ -16,6 +17,7 @@ from repro.mac import (
 )
 from repro.model.topology import Topology
 from repro.model.udg import unit_disk_graph
+from repro.topologies import build
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +129,9 @@ class TestQueueAndDrops:
         # every packet dies at the retry cap
         t = Topology(np.array([[0.0, 0.0], [0.5, 0.0]]), [(0, 1)])
         cfg = MacConfig(traffic="saturated", max_retries=2)
-        res = MacSimulator(t, policy="uniform", window=1, config=cfg).run(
-            120, seed=1
-        )
+        res = MacSimulator(
+            t, policy="uniform", window=1, cw_min=1, config=cfg
+        ).run(120, seed=1)
         assert res.delivered.sum() == 0
         assert res.dropped_retry.sum() > 0
         assert res.rx_busy.sum() > 0
@@ -158,10 +160,10 @@ class TestDutyCycle:
         full = MacConfig(traffic="saturated", duty_cycle=1.0, max_retries=0)
         half = MacConfig(traffic="saturated", duty_cycle=0.5, max_retries=0)
         r_full = MacSimulator(
-            pair_topology, policy="uniform", window=1, config=full
+            pair_topology, policy="uniform", window=1, cw_min=1, config=full
         ).run(200, seed=2)
         r_half = MacSimulator(
-            pair_topology, policy="uniform", window=1, config=half
+            pair_topology, policy="uniform", window=1, cw_min=1, config=half
         ).run(200, seed=2)
         assert r_full.attempts.sum() > r_half.attempts.sum()
         assert np.all(r_half.attempts <= 101)  # ceil(200 / 2) + startup
@@ -268,6 +270,42 @@ class TestMetrics:
         assert all(np.isnan(v) for v in p.values())
 
 
+class TestInterferenceFreeReceivers:
+    """The MAC slice of the cross-layer agreement: under disk capture a
+    reception can only be lost to interference at a node some *second*
+    transmitter's disk covers. So no node with static ``I(v) = 0`` ever
+    records an ``rx_collision``, and neither does one with ``I(v) = 1``
+    (its only coverer is the neighbour addressing it)."""
+
+    @pytest.fixture(scope="class")
+    def topology(self):
+        udg = unit_disk_graph(random_udg_connected(40, side=4.0, seed=1))
+        nnf = build("nnf", udg)
+        pos = np.vstack([nnf.positions, [[50.0, 50.0], [60.0, 50.0]]])
+        return Topology(pos, nnf.edges)  # plus two isolated nodes
+
+    @pytest.mark.parametrize("traffic", ["bernoulli", "poisson", "saturated"])
+    @pytest.mark.parametrize("mode", ["aloha", "csma"])
+    @pytest.mark.parametrize("policy", sorted(BACKOFF_POLICIES))
+    def test_no_collision_without_a_second_coverer(
+        self, topology, policy, mode, traffic
+    ):
+        cfg = MacConfig(
+            traffic=traffic, load=0.3, mode=mode, tx_slots=2, capture="disk"
+        )
+        res = MacSimulator(topology, policy=policy, config=cfg).run(
+            300, seed=7
+        )
+        interference = node_interference(topology)
+        assert np.any(interference == 0) and np.any(interference == 1)
+        quiet = interference <= 1
+        assert not res.rx_collision[quiet].any()
+        # not vacuous: the I(v) = 1 nodes were addressed, and collisions
+        # happen elsewhere
+        assert (res.rx_ok[quiet] + res.rx_busy[quiet]).sum() > 0
+        assert res.rx_collision.sum() > 0
+
+
 class TestValidation:
     def test_invalid_config_values(self):
         for bad in (
@@ -285,6 +323,13 @@ class TestValidation:
         ):
             with pytest.raises(ValueError):
                 MacConfig(**bad)
+
+    def test_bernoulli_load_is_a_probability(self):
+        with pytest.raises(ValueError, match="load <= 1"):
+            MacConfig(traffic="bernoulli", load=1.5)
+        MacConfig(traffic="bernoulli", load=1.0)
+        # a poisson load is a mean and may exceed one arrival per slot
+        MacConfig(traffic="poisson", load=1.5)
 
     def test_negative_slots(self, pair_topology):
         with pytest.raises(ValueError):

@@ -142,6 +142,17 @@ class TestClosedForms:
             for w in (1, 16, 900):
                 assert p.next_window(k, BackoffState(window=w)) == 16
 
+    def test_uniform_window_within_bounds(self):
+        for bad in (
+            dict(window=1),  # below the default cw_min=2
+            dict(window=5000),  # past the default cw_max=1024
+            dict(window=16, cw_min=32, cw_max=64),
+        ):
+            with pytest.raises(ValueError, match="cw_min <= window <= cw_max"):
+                make_policy("uniform", **bad)
+        assert make_policy("uniform", window=1, cw_min=1).initial_window() == 1
+        assert UniformBackoff(window=1024).initial_window() == 1024
+
     def test_asb_monotone_and_adaptive(self):
         p = AsbBackoff(cw_min=2, cw_max=4096, gamma=4.0)
         # idle channel: additive +-1 creep

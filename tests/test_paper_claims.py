@@ -127,11 +127,11 @@ class TestSimulationBridge:
     def test_static_measure_predicts_dynamics(self):
         """Receiver-centric I(v) correlates strongly with observed collision
         rates — the claim that the model 'corresponds to reality'."""
+        from repro.experiments.sim_collisions import slotted_aloha
         from repro.sim.metrics import collision_interference_correlation
-        from repro.sim.slotted import SlottedAlohaSimulator
 
         pos = exponential_chain(35)
         t = linear_chain(pos)
-        res = SlottedAlohaSimulator(t, p=0.15).run(3000, seed=2)
+        res = slotted_aloha(t, 0.15).run(3000, seed=2)
         corr, pval = collision_interference_correlation(t, res.collision_rate)
         assert corr > 0.9 and pval < 1e-6

@@ -2,7 +2,6 @@
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -354,28 +353,6 @@ class TestPublicStorageApi:
         wal.append(payloads(6, 8))
         wal.close()
         assert [s.first_seq for s in list_segments(tmp_path)] == [1, 6]
-
-    def test_wal_path_kwarg_is_deprecated_one_segment_shim(self, tmp_path):
-        cfg = config(snapshot_every=0)
-        with pytest.warns(DeprecationWarning, match="wal_path"):
-            engine = DurableStreamEngine(
-                wal_path=tmp_path / "s" / "wal.jsonl", config=cfg
-            )
-        engine.apply_batch(workload(250))
-        engine.close()
-        # one-segment store: everything in a single file despite the tiny
-        # segment_bytes in cfg (the shim overrides it)
-        assert len(list_segments(tmp_path / "s")) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reopened = DurableStreamEngine.open(tmp_path / "s")
-        assert reopened.engine.seq == 250
-        reopened.close()
-        # and the shim reopens an existing directory too
-        with pytest.warns(DeprecationWarning):
-            again = DurableStreamEngine(wal_path=tmp_path / "s" / "wal.jsonl")
-        assert again.engine.seq == 250
-        again.close()
 
 
 class TestStreamConfigJson:
