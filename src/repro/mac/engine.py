@@ -36,6 +36,7 @@ over these delays use the same nearest-rank methodology as
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,17 @@ class MacResult:
         return {f"p{q:g}": float(percentile(pooled, q)) for q in qs}
 
 
+def _bitset(mask: np.ndarray) -> int:
+    """Python-int bitset of a boolean vector (bit i <-> entry i)."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """Length-``n`` 0/1 ``uint8`` vector of a bitset (inverse of _bitset)."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
 class MacSimulator:
     """Slotted contention engine over a fixed topology.
 
@@ -232,11 +244,12 @@ class MacSimulator:
         if not isinstance(self.config, MacConfig):
             raise TypeError("config must be a MacConfig")
         n = topology.n
-        self._neighbors = [
-            np.array(sorted(topology.neighbors(u)), dtype=np.int64)
-            for u in range(n)
-        ]
-        self._covers = coverage_matrix(topology)
+        self._neighbors = [sorted(topology.neighbors(u)) for u in range(n)]
+        # Python-int bitsets: the nodes u's disk covers, the nodes whose
+        # disks cover v
+        covers = coverage_matrix(topology)
+        self._cover_bits = [_bitset(row) for row in covers]
+        self._coverers = [_bitset(column) for column in covers.T]
         if self.config.capture == "sinr":
             cfg = self.config
             self._power = (
@@ -258,36 +271,52 @@ class MacSimulator:
         cfg = self.config
         policy = self.policy
         rng = as_generator(seed)
+        integers = rng.integers
+
+        def draw(high: int) -> int:
+            # integers(1) is 0 and consumes no random bits
+            return int(integers(high)) if high > 1 else 0
+
         n = self.topology.n
         active = self.topology.degrees > 0
+        inactive = np.flatnonzero(~active)
+        neighbors = self._neighbors
+        cover_bits, coverers = self._cover_bits, self._coverers
+        tx_slots, silence = cfg.tx_slots, cfg.silence_slots
+        saturated = cfg.traffic == "saturated"
 
-        queues: list[list[int]] = [[] for _ in range(n)]
-        window = np.full(n, policy.initial_window(), dtype=np.int64)
-        wait = np.zeros(n, dtype=np.int64)
-        streak = np.zeros(n, dtype=np.int64)  # consecutive head failures
-        silence = np.zeros(n, dtype=np.int64)
+        # A queued, idle node only counts its silence and then its wait
+        # down, so it is filed in ``calendar`` under the slot it becomes
+        # due; a node whose queue is empty is frozen with ``hold`` slots
+        # of that countdown left.
+        calendar: dict[int, list[int]] = {}
+        hold = [0] * n
+        queues = [deque() for _ in range(n)]
+        window = [policy.initial_window()] * n
+        streak = [0] * n  # consecutive head failures
         busy = np.zeros(n, dtype=np.float64)
-        tx_left = np.zeros(n, dtype=np.int64)
-        tx_recv = np.full(n, -1, dtype=np.int64)
-        tx_interf = np.zeros(n, dtype=bool)
-        tx_busy_rx = np.zeros(n, dtype=bool)
+        on_air: list[int] = []  # ascending; transmissions still running
+        tx_left = [0] * n
+        tx_recv = [-1] * n
+        tx_interf = [False] * n
+        tx_busy_rx = [False] * n
+        refill = np.flatnonzero(active).tolist()  # saturated: empty queues
 
-        arrivals = np.zeros(n, dtype=np.int64)
-        delivered = np.zeros(n, dtype=np.int64)
-        dropped_queue = np.zeros(n, dtype=np.int64)
-        dropped_retry = np.zeros(n, dtype=np.int64)
-        lost = np.zeros(n, dtype=np.int64)
-        attempts = np.zeros(n, dtype=np.int64)
-        retransmissions = np.zeros(n, dtype=np.int64)
-        deferrals = np.zeros(n, dtype=np.int64)
-        rx_ok = np.zeros(n, dtype=np.int64)
-        rx_collision = np.zeros(n, dtype=np.int64)
-        rx_busy = np.zeros(n, dtype=np.int64)
+        arrivals = [0] * n
+        delivered = [0] * n
+        dropped_queue = [0] * n
+        dropped_retry = [0] * n
+        lost = [0] * n
+        attempts = [0] * n
+        retransmissions = [0] * n
+        deferrals = [0] * n
+        rx_ok = [0] * n
+        rx_collision = [0] * n
+        rx_busy = [0] * n
         delays: list[list[int]] = [[] for _ in range(n)]
 
-        for u in range(n):
-            if active[u]:
-                wait[u] = rng.integers(window[u])
+        for u in refill:
+            hold[u] = draw(window[u])
 
         with obs.span(
             "mac.run",
@@ -300,69 +329,68 @@ class MacSimulator:
         ) as sp:
             for t in range(n_slots):
                 # -- 1. arrivals (open loop: sources never look at queues)
-                if cfg.traffic == "bernoulli":
-                    fresh = (rng.random(n) < cfg.load).astype(np.int64)
-                elif cfg.traffic == "poisson":
-                    fresh = rng.poisson(cfg.load, n)
-                else:  # saturated: refill empty queues
-                    fresh = np.zeros(n, dtype=np.int64)
-                    for u in range(n):
-                        if active[u] and not queues[u]:
-                            fresh[u] = 1
-                fresh[~active] = 0
-                for u in np.nonzero(fresh)[0]:
-                    k = int(fresh[u])
+                if saturated:  # refill the queues emptied last slot
+                    fresh, counts = refill, [1] * len(refill)
+                    refill = []
+                else:
+                    if cfg.traffic == "bernoulli":
+                        drawn = (rng.random(n) < cfg.load).astype(np.int64)
+                    else:
+                        drawn = rng.poisson(cfg.load, n)
+                    drawn[inactive] = 0
+                    fresh = drawn.nonzero()[0]
+                    counts = drawn[fresh].tolist()
+                    fresh = fresh.tolist()
+                for u, k in zip(fresh, counts):
                     arrivals[u] += k
-                    room = cfg.queue_limit - len(queues[u])
-                    take = min(k, max(room, 0))
-                    queues[u].extend([t] * take)
+                    q = queues[u]
+                    take = min(k, cfg.queue_limit - len(q))
+                    if take and not q:
+                        calendar.setdefault(t + hold[u], []).append(u)
+                    q.extend([t] * take)
                     dropped_queue[u] += k - take
 
-                # -- 2. carrier sense + transmission starts
-                ongoing = tx_left > 0
-                if cfg.mode == "csma" and ongoing.any():
-                    audible = self._covers[ongoing].any(axis=0)
-                else:
-                    audible = None
-                for u in range(n):
-                    if not active[u] or tx_left[u] > 0 or not queues[u]:
+                # -- 2. carrier sense + transmission starts, due nodes in
+                # ascending order (the order of their draws)
+                audible = 0
+                if cfg.mode == "csma":
+                    for u in on_air:
+                        audible |= cover_bits[u]
+                started = []
+                for u in sorted(calendar.pop(t, ())):
+                    if audible >> u & 1:
+                        deferrals[u] += 1  # waits 1 + draw slots from t + 1
+                        due = t + 2 + draw(window[u])
+                        calendar.setdefault(due, []).append(u)
                         continue
-                    if silence[u] > 0:
-                        silence[u] -= 1
-                        continue
-                    if wait[u] > 0:
-                        wait[u] -= 1
-                        continue
-                    if audible is not None and audible[u]:
-                        deferrals[u] += 1
-                        wait[u] = 1 + rng.integers(window[u])
-                        continue
-                    nbrs = self._neighbors[u]
-                    v = int(nbrs[rng.integers(nbrs.size)])
+                    nbrs = neighbors[u]
                     attempts[u] += 1
-                    tx_left[u] = cfg.tx_slots
-                    tx_recv[u] = v
+                    tx_left[u] = tx_slots
+                    tx_recv[u] = nbrs[draw(len(nbrs))]
                     tx_interf[u] = False
                     tx_busy_rx[u] = False
+                    started.append(u)
 
                 # -- 3. per-slot interference resolution
-                senders = np.nonzero(tx_left > 0)[0]
-                if senders.size:
-                    tx_mask = tx_left > 0
+                # ascending, as the draws below and the SINR power sum need
+                senders = sorted(on_air + started) if on_air else started
+                if senders:
+                    on_bits = covered = 0
+                    for u in senders:
+                        on_bits |= 1 << u
+                        covered |= cover_bits[u]
                     if cfg.capture == "disk":
-                        cover_count = self._covers[senders].sum(axis=0)
                         for u in senders:
                             v = tx_recv[u]
-                            if tx_mask[v]:
+                            if tx_left[v]:
                                 tx_busy_rx[u] = True
-                            hit = cover_count[v] - (1 if self._covers[u, v] else 0)
-                            if hit > 0:
+                            if coverers[v] & on_bits & ~(1 << u):
                                 tx_interf[u] = True
                     else:  # sinr capture
                         rx_power = self._power[senders] @ self._gain[senders]
                         for u in senders:
                             v = tx_recv[u]
-                            if tx_mask[v]:
+                            if tx_left[v]:
                                 tx_busy_rx[u] = True
                                 continue
                             signal = self._power[u] * self._gain[u, v]
@@ -370,18 +398,18 @@ class MacSimulator:
                             sinr = signal / (cfg.noise + interference)
                             if sinr < cfg.beta:
                                 tx_interf[u] = True
-                        cover_count = self._covers[senders].sum(axis=0)
-                    busy += BUSY_EWMA_ALPHA * ((cover_count > 0) - busy)
+                    busy += BUSY_EWMA_ALPHA * (_unpack(covered, n) - busy)
                 else:
                     busy *= 1.0 - BUSY_EWMA_ALPHA
 
                 # -- 4. transmission ends: acks, retries, window updates
+                on_air = []
                 for u in senders:
                     tx_left[u] -= 1
-                    if tx_left[u] > 0:
+                    if tx_left[u]:
+                        on_air.append(u)
                         continue
-                    v = int(tx_recv[u])
-                    tx_recv[u] = -1
+                    v = tx_recv[u]
                     corrupted = tx_interf[u] or tx_busy_rx[u]
                     if tx_busy_rx[u]:
                         rx_busy[v] += 1
@@ -389,69 +417,66 @@ class MacSimulator:
                         rx_collision[v] += 1
                     else:
                         rx_ok[v] += 1
-                    silence[u] = cfg.silence_slots
-                    state = BackoffState(
-                        window=int(window[u]), busy=float(busy[u])
-                    )
+                    state = BackoffState(window=window[u], busy=float(busy[u]))
+                    q = queues[u]
                     if not cfg.ack:
                         # fire-and-forget: one attempt per packet, the
                         # sender never learns the outcome
                         if not corrupted:
                             delivered[u] += 1
-                            delays[u].append(t - queues[u][0] + 1)
+                            delays[u].append(t - q[0] + 1)
                         else:
                             lost[u] += 1
-                        queues[u].pop(0)
+                        q.popleft()
                         window[u] = policy.next_window(0, state)
                     elif not corrupted:
                         delivered[u] += 1
-                        retransmissions[u] += int(streak[u])
-                        delays[u].append(t - queues[u][0] + 1)
-                        queues[u].pop(0)
+                        retransmissions[u] += streak[u]
+                        delays[u].append(t - q.popleft() + 1)
                         streak[u] = 0
                         window[u] = policy.next_window(0, state)
                     else:
                         streak[u] += 1
-                        window[u] = policy.next_window(int(streak[u]), state)
+                        window[u] = policy.next_window(streak[u], state)
                         if streak[u] > cfg.max_retries:
                             dropped_retry[u] += 1
-                            queues[u].pop(0)
+                            q.popleft()
                             streak[u] = 0
-                    if queues[u]:
-                        wait[u] = rng.integers(window[u])
+                    if q:  # silence, then the wait, from t + 1
+                        due = t + 1 + silence + draw(window[u])
+                        calendar.setdefault(due, []).append(u)
+                    else:
+                        hold[u] = silence
+                        if saturated:
+                            refill.append(u)
 
-            queued_end = np.array(
-                [len(q) for q in queues], dtype=np.int64
-            )
             obs.count("mac.slots", n_slots)
-            obs.count("mac.attempts", int(attempts.sum()))
-            obs.count("mac.delivered", int(delivered.sum()))
-            obs.count("mac.collisions", int(rx_collision.sum()))
-            obs.count(
-                "mac.drops", int(dropped_queue.sum() + dropped_retry.sum())
-            )
-            if deferrals.any():
-                obs.count("mac.deferrals", int(deferrals.sum()))
+            obs.count("mac.attempts", sum(attempts))
+            obs.count("mac.delivered", sum(delivered))
+            obs.count("mac.collisions", sum(rx_collision))
+            obs.count("mac.drops", sum(dropped_queue) + sum(dropped_retry))
+            if any(deferrals):
+                obs.count("mac.deferrals", sum(deferrals))
             sp.set(
-                attempts=int(attempts.sum()),
-                delivered=int(delivered.sum()),
-                collisions=int(rx_collision.sum()),
+                attempts=sum(attempts),
+                delivered=sum(delivered),
+                collisions=sum(rx_collision),
             )
 
         return MacResult(
             n_slots=n_slots,
-            arrivals=arrivals,
-            delivered=delivered,
-            dropped_queue=dropped_queue,
-            dropped_retry=dropped_retry,
-            lost=lost,
-            attempts=attempts,
-            retransmissions=retransmissions,
-            deferrals=deferrals,
-            rx_ok=rx_ok,
-            rx_collision=rx_collision,
-            rx_busy=rx_busy,
-            queued_end=queued_end,
+            arrivals=np.array(arrivals, dtype=np.int64),
+            delivered=np.array(delivered, dtype=np.int64),
+            dropped_queue=np.array(dropped_queue, dtype=np.int64),
+            dropped_retry=np.array(dropped_retry, dtype=np.int64),
+            lost=np.array(lost, dtype=np.int64),
+            attempts=np.array(attempts, dtype=np.int64),
+            retransmissions=np.array(retransmissions, dtype=np.int64),
+            deferrals=np.array(deferrals, dtype=np.int64),
+            rx_ok=np.array(rx_ok, dtype=np.int64),
+            rx_collision=np.array(rx_collision, dtype=np.int64),
+            rx_busy=np.array(rx_busy, dtype=np.int64),
+            queued_end=np.array([len(q) for q in queues], dtype=np.int64),
             delays=tuple(np.array(d, dtype=np.int64) for d in delays),
             meta={
                 "policy": policy.name,

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 #: measured interference of the witness topology.
 DEFAULT_TOLERANCE = 1e-9
 
+#: Search expansions, or annealing proposals, between wall-clock budget
+#: checks.
+_TIME_CHECK_MASK = 0xFF
+
 
 @dataclass(frozen=True, kw_only=True)
 class OptConfig:
@@ -26,8 +30,9 @@ class OptConfig:
     time_budget_s:
         Wall-clock budget for the whole solve, counted from entry: the
         bounds and the heuristic upper bound use it up too. ``None`` means
-        unlimited. It is checked before each decision search and every
-        256 expansions within one, so the heuristic can overrun it. On
+        unlimited. It is checked every 256 annealing proposals, before
+        each decision search and every 256 expansions within one; only
+        the heuristic's final hill-climb can overrun it. On
         exhaustion the solver returns the best *certified bracket* found
         so far (status ``"budget"``) instead of raising.
     node_budget:

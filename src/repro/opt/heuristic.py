@@ -21,6 +21,7 @@ the final hill-climb.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.extensions.local_search import (
 from repro.graphs.mst import euclidean_mst_edges
 from repro.interference.receiver import graph_interference
 from repro.model.topology import Topology
-from repro.opt.config import OptConfig
+from repro.opt.config import _TIME_CHECK_MASK, OptConfig
 from repro.utils import as_generator, check_positions
 
 #: Annealing proposals per node (the walk length is ``ANNEAL_STEPS_PER_NODE
@@ -47,12 +48,16 @@ def heuristic_opt(
     *,
     unit: float = 1.0,
     config: OptConfig | None = None,
+    _deadline: float | None = None,
 ) -> tuple[int, Topology]:
     """Best-effort minimum-interference topology (certified upper bound).
 
     Returns ``(value, topology)`` where ``topology`` is a connected
     subgraph of the unit disk graph and ``value`` its measured
     interference. Raises ``ValueError`` when the UDG is disconnected.
+    ``_deadline`` (a ``time.perf_counter()`` reading, set by
+    :func:`repro.opt.solve_opt` from its time budget) cuts the annealing
+    walk short; the hill-climb then starts from its best tree so far.
     """
     from repro.model.udg import unit_disk_graph
 
@@ -65,7 +70,7 @@ def heuristic_opt(
     if not udg.is_connected():
         raise ValueError("the unit disk graph is disconnected; no feasible topology")
     with obs.span("opt.heuristic", n=n):
-        annealed = _anneal(udg, seed=cfg.seed)
+        annealed = _anneal(udg, seed=cfg.seed, deadline=_deadline)
         polished = reduce_interference(udg, start=annealed, seed=cfg.seed)
     best = min(
         (polished, annealed),
@@ -74,8 +79,12 @@ def heuristic_opt(
     return int(graph_interference(best)), best
 
 
-def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
-    """Simulated-annealing walk over spanning trees of ``udg``."""
+def _anneal(
+    udg: Topology, *, seed, steps: int | None = None, deadline: float | None = None
+) -> Topology:
+    """Simulated-annealing walk over spanning trees of ``udg``. Past
+    ``deadline`` (read every 256 proposals) the walk stops and returns the
+    best tree it has visited, still a connected witness."""
     pos = udg.positions
     n = udg.n
     tree_edges = euclidean_mst_edges(pos, candidate_edges=udg.edges)
@@ -99,8 +108,15 @@ def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
     t_end = 0.01
     cool = (t_end / t0) ** (1.0 / max(1, n_steps - 1))
     temperature = t0
-    accepted = 0
-    for _ in range(n_steps):
+    accepted = proposals = 0
+    while proposals < n_steps:
+        if (
+            deadline is not None
+            and not proposals & _TIME_CHECK_MASK
+            and time.perf_counter() > deadline
+        ):
+            break
+        proposals += 1
         a, b = candidates[int(rng.integers(len(candidates)))]
         temperature *= cool
         if b in adj[a]:
@@ -121,7 +137,7 @@ def _anneal(udg: Topology, *, seed, steps: int | None = None) -> Topology:
         else:  # revert
             ev.add_edge(x, y)
             ev.remove_edge(a, b)
-    obs.count("opt.anneal.proposals", n_steps)
+    obs.count("opt.anneal.proposals", proposals)
     obs.count("opt.anneal.accepted", accepted)
     edges = np.array(best_edges, dtype=np.int64).reshape(-1, 2)
     return Topology(pos, edges)

@@ -53,7 +53,7 @@ from repro.model.topology import Topology
 from repro.opt.bounds import combinatorial_lower_bound
 from repro.opt.candidates import candidate_radii, coverage_masks, maximal_edges
 from repro.opt.certificate import Certificate, instance_digest
-from repro.opt.config import OptConfig
+from repro.opt.config import _TIME_CHECK_MASK, OptConfig
 from repro.opt.heuristic import heuristic_opt
 from repro.utils import check_positions
 
@@ -61,9 +61,6 @@ from repro.utils import check_positions
 #: heuristic + combinatorial bounds bracket (``repro opt`` does this
 #: automatically via budgets).
 SOLVER_MAX_NODES = 24
-
-#: How many node expansions between wall-clock budget checks.
-_TIME_CHECK_MASK = 0xFF
 
 
 class _BudgetExhausted(Exception):
@@ -180,7 +177,9 @@ def solve_opt(
     t_start = time.perf_counter()
     with obs.span("opt.solve", n=n) as sp:
         lb0 = combinatorial_lower_bound(pos, unit=unit, tolerance=tol)
-        ub, _heur_topo = heuristic_opt(pos, unit=unit, config=cfg)
+        ub, _heur_topo = heuristic_opt(
+            pos, unit=unit, config=cfg, _deadline=budget.deadline
+        )
         stats["heuristic_value"] = ub
         stats["combinatorial_lb"] = lb0
         # the heuristic witness, in canonical maximal-E(r) form (radii and

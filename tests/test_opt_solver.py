@@ -1,6 +1,9 @@
 """solve_opt: exactness on known instances, anytime budgets, guardrails,
 heuristic upper bounds, observability instrumentation."""
 
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -91,11 +94,24 @@ class TestBudgets:
         assert outcome.status in ("budget", "optimal")
         assert verify_certificate(pos, outcome.certificate)
 
+    def test_short_budget_on_a_large_instance_is_certified(self):
+        # at n = 20 the unbudgeted heuristic alone outlasts a 25 ms budget;
+        # the walk stops early and the bracket is still certified
+        pos = exponential_chain(20)
+        outcome = solve_opt(pos, config=OptConfig(time_budget_s=0.025))
+        assert outcome.status == "budget"
+        assert 1 <= outcome.lower_bound <= outcome.value
+        assert outcome.topology.is_connected()
+        assert verify_certificate(pos, outcome.certificate)
+
     def test_spent_time_budget_stops_before_the_search(self):
         # the deadline runs from solve_opt entry, so the bounds and the
-        # heuristic alone use up a microsecond budget: no node is expanded
+        # heuristic alone use up a microsecond budget: the annealing walk
+        # makes no proposal and no node is expanded
         pos = exponential_chain(16)
-        outcome = solve_opt(pos, config=OptConfig(time_budget_s=1e-6))
+        with obs.capture():
+            outcome = solve_opt(pos, config=OptConfig(time_budget_s=1e-6))
+        assert obs.counters()["opt.anneal.proposals"] == 0
         assert outcome.status == "budget"
         assert outcome.stats["nodes_expanded"] == 0
         assert outcome.lower_bound < outcome.value
@@ -132,6 +148,34 @@ class TestHeuristic:
     def test_disconnected_raises(self):
         with pytest.raises(ValueError, match="disconnected"):
             heuristic_opt(uniform_chain(4, spacing=2.0))
+
+    def test_deadline_stops_the_walk_every_256_proposals(self, monkeypatch):
+        # a fake clock that passes the deadline on its third reading: the
+        # walk reads it before proposals 0, 256 and 512, so it stops at 512
+        # with its best tree, a spanning tree of the UDG
+        from repro.model.udg import unit_disk_graph
+        from repro.opt import heuristic
+
+        readings = iter(range(10))
+        monkeypatch.setattr(
+            heuristic, "time", SimpleNamespace(perf_counter=lambda: next(readings))
+        )
+        udg = unit_disk_graph(exponential_chain(20))
+        with obs.capture():
+            tree = heuristic._anneal(udg, seed=0, deadline=1.5)
+        assert obs.counters()["opt.anneal.proposals"] == 512
+        assert tree.is_connected() and tree.n_edges == udg.n - 1
+        for u, v in tree.edges:
+            assert udg.has_edge(int(u), int(v))
+
+    def test_unreached_deadline_changes_nothing(self):
+        from repro.model.udg import unit_disk_graph
+        from repro.opt.heuristic import _anneal
+
+        udg = unit_disk_graph(random_udg_connected(14, side=1.5, seed=9))
+        free = _anneal(udg, seed=3)
+        timed = _anneal(udg, seed=3, deadline=time.perf_counter() + 3600.0)
+        assert free == timed
 
     def test_stays_within_udg(self):
         pos = random_udg_connected(12, side=1.5, seed=2)
