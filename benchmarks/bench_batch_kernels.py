@@ -1,6 +1,6 @@
-"""P7: the fused batch interference tier — speedup gate and memory gate.
+"""P7: the fused batch interference tier — speedup gate and memory gates.
 
-Two hard gates ride with the throughput numbers:
+Three hard gates ride with the throughput numbers:
 
 1. **Speedup**: the batch tier must be >= 10x faster than the scalar
    grid kernel at ``n >= 1e4``, with the attribution read from obs spans
@@ -11,6 +11,10 @@ Two hard gates ride with the throughput numbers:
    materialize an ``(chunk, n, 2)`` temporary again. At ``n = 4096``
    the old 3-D broadcast peaked around 400 MB; the tiled kernels stay
    under ~48 MB (a few ``(1024, n)`` float64 tiles).
+3. **Fused peak**: ``node_interference_many`` must stay chunked on
+   ``BATCH_PAIR_CHUNK`` candidate pairs. Over ten n = 4096 UDGs it peaks
+   at ~13 MB; materialising every candidate pair of the batch at once,
+   as it used to, peaked at ~177 MB.
 
 Run via ``python -m pytest benchmarks/bench_batch_kernels.py``.
 """
@@ -23,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.geometry.generators import random_udg_connected
+from repro.geometry.generators import random_udg_connected, random_uniform_square
 from repro.interference.batch import node_interference_many
 from repro.interference.receiver import (
     coverage_counts,
@@ -42,6 +46,15 @@ SPEEDUP_ROUNDS = 3
 #: A resurrected (chunk, n, 2) float64 temporary alone would be ~400 MB.
 PEAK_ALLOC_N = 4096
 PEAK_ALLOC_CEILING_MB = 48.0
+
+#: Peak-allocation ceiling for ``node_interference_many`` over
+#: ``MANY_PEAK_INSTANCES`` UDGs of ``MANY_PEAK_N`` nodes (~580k covered
+#: pairs, ~2.4M candidate pairs): the instances' CSR layout plus one
+#: chunk. Measured ~13 MB chunked against ~177 MB unchunked (tracemalloc,
+#: numpy 2.4).
+MANY_PEAK_N = 4096
+MANY_PEAK_INSTANCES = 10
+MANY_PEAK_CEILING_MB = 32.0
 
 
 def _instance(n, seed=0):
@@ -129,4 +142,27 @@ def test_peak_allocation_gate(kernel):
         f"kernel peaked at {peak_mb:.1f} MB for n={PEAK_ALLOC_N} "
         f"(ceiling {PEAK_ALLOC_CEILING_MB} MB — did a (chunk, n, 2) "
         f"temporary come back?)"
+    )
+
+
+def test_many_peak_allocation_gate():
+    """The fused multi-instance kernel must stay chunked."""
+    side = 4.0 * float(np.sqrt(MANY_PEAK_N / 150.0))
+    topos = [
+        unit_disk_graph(random_uniform_square(MANY_PEAK_N, side=side, seed=s))
+        for s in range(MANY_PEAK_INSTANCES)
+    ]
+    node_interference_many(topos)  # warm: first-touch imports and caches
+
+    tracemalloc.start()
+    try:
+        node_interference_many(topos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_mb = peak / 1e6
+    assert peak_mb < MANY_PEAK_CEILING_MB, (
+        f"node_interference_many peaked at {peak_mb:.1f} MB over "
+        f"{MANY_PEAK_INSTANCES} x n={MANY_PEAK_N} (ceiling "
+        f"{MANY_PEAK_CEILING_MB} MB — is the fused pass unchunked again?)"
     )

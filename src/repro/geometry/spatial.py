@@ -1,24 +1,31 @@
 """Uniform grid spatial index for radius queries.
 
 The index buckets points into square cells of a fixed ``cell_size``. A radius
-query then only inspects the O((r / cell_size + 1)^2) cells overlapping the
-query disk instead of all n points, which turns UDG construction and
-interference counting into near-linear work for bounded-density instances.
+query then only inspects the cells overlapping the query disk instead of all
+n points, which turns UDG construction and interference counting into
+near-linear work for bounded-density instances.
 
-The implementation follows the HPC guides: bucketing is done with a single
-``argsort`` over flattened cell ids (vectorized), and queries slice the sorted
-arrays via ``searchsorted`` — no per-point Python loops at build time.
+Bucketing is one ``argsort`` over flat cell ids (``row * ncols + column``),
+giving a CSR layout: ``_order`` lists the points cell by cell, and
+``_cell_ids`` is sorted. Rows run along the axis with more cells. The cells
+``lo..hi`` of one grid row are consecutive flat ids, so their points are one
+contiguous slice of ``_order``: every query window is a few **row spans**
+``(start, end)``, read from a dense start table (or two binary searches of
+``_cell_ids`` when the cell space is too sparse for one).
 
 Two query tiers share that layout:
 
-- the scalar tier (:meth:`GridIndex.query_radius` / ``query_point``) probes
-  the cell table one cell at a time — right for a handful of ad-hoc disks;
-- the batch tier (:meth:`GridIndex.query_pairs`, which also powers
-  ``count_within`` and ``pairs_within``) answers *many* disks in fused
-  array passes over the CSR layout (``_order`` + sorted ``_cell_ids``):
-  window enumeration, candidate expansion and the distance predicate are
-  each one vectorized operation over every query at once, chunked so peak
-  memory stays bounded regardless of query count.
+- the scalar tier (:meth:`GridIndex.query_radius` / ``query_point``) looks
+  up one disk's row spans — right for a handful of ad-hoc disks;
+- the batch tier (:meth:`GridIndex.query_pairs`, ``count_within`` and
+  ``pairs_within``, plus the interference kernels and the stream bulk
+  path) answers *many* disks through one enumerator,
+  :func:`_row_span_pairs`: row expansion, candidate expansion and the
+  distance predicate are each one vectorized operation over every query
+  at once, chunked on the exact candidate count so peak memory stays
+  bounded regardless of query count. Coordinates are read from cell-sorted
+  copies (``_xs``/``_ys``), so queries taken in CSR order touch memory in
+  order.
 """
 
 from __future__ import annotations
@@ -33,9 +40,11 @@ from repro.utils import check_positions
 from repro.utils.validation import edges_from_keys
 
 #: Upper bound on the number of candidate (query, point) pairs a single
-#: fused batch pass materializes; larger workloads are split into query
-#: chunks. 2^21 pairs ≈ 50 MB of transient arrays at float64.
-BATCH_PAIR_CHUNK = 1 << 21
+#: fused batch pass materializes; larger workloads are split into chunks
+#: on the exact candidate count. 2^16 pairs keep each int64 transient at
+#: 0.5 MB, inside L2: on a 2-vCPU Xeon this was ~15% faster than 2^21 at
+#: n = 2e4 (sweep 2^13..2^21 in docs/PERFORMANCE.md).
+BATCH_PAIR_CHUNK = 1 << 16
 
 #: ``method="auto"`` of both :func:`repro.interference.node_interference`
 #: and :func:`repro.model.unit_disk_graph` switches from the vectorized
@@ -46,18 +55,101 @@ BATCH_PAIR_CHUNK = 1 << 21
 #: n = 1024 (docs/PERFORMANCE.md has both tables).
 AUTO_BATCH_MIN_N = 192
 
-#: Grid builders clamp their cell size so each axis has at most
-#: ``GRID_CELLS_PER_AXIS_SCALE * sqrt(n)`` cells (~16n cells total): a
-#: tiny cell over a huge extent (exponential chains) otherwise makes a
-#: span-scale query enumerate astronomically many cells, and the cell
-#: coordinates themselves overflow int64.
-GRID_CELLS_PER_AXIS_SCALE = 4.0
+#: Grid builders clamp their cell size so the grid has at most
+#: ``GRID_CELLS_PER_POINT * n`` cells in total: a tiny cell over a huge
+#: extent (exponential chains) otherwise makes a span-scale query
+#: enumerate astronomically many cells, and the cell coordinates
+#: themselves overflow int64.
+GRID_CELLS_PER_POINT = 16.0
 
 
-def clamped_cell_size(cell: float, span: float, n: int) -> float:
-    """``cell``, raised so an extent ``span`` wide holding ``n`` points has at
-    most ``GRID_CELLS_PER_AXIS_SCALE * sqrt(n)`` cells per axis."""
-    return max(cell, span / max(GRID_CELLS_PER_AXIS_SCALE * math.sqrt(n), 1.0))
+def clamped_cell_size(cell: float, span, n: int) -> float:
+    """``cell``, raised so a grid over an extent holding ``n`` points has at
+    most ``GRID_CELLS_PER_POINT * n`` cells.
+
+    ``span`` is the extent's ``(x, y)`` spans, or one scalar for a square
+    extent. An axis narrower than a cell counts as one cell, so a 1-D
+    extent (a highway) may have all ``16n`` cells along its length.
+    """
+    wide, narrow = (max(span), min(span)) if np.ndim(span) else (span, span)
+    if wide <= 0:
+        return cell
+    cap = max(GRID_CELLS_PER_POINT * n, 1.0)
+    # == wide / sqrt(cap) for a square extent
+    low = wide / math.sqrt(cap) * math.sqrt(max(narrow, wide / cap) / wide)
+    return max(cell, float(low))
+
+
+def _radii(radii, m: int) -> np.ndarray:
+    """``radii`` as a length-``m`` float64 array; negative or NaN raise."""
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,))
+    if not np.all(radii >= 0):
+        raise ValueError("radius must be non-negative (and not NaN)")
+    return radii
+
+
+def _start_table(cell_ids: np.ndarray, ncells: int):
+    """Dense CSR start table over the sorted flat ``cell_ids``, or ``None``.
+
+    ``table[c]`` is the CSR position of the first point in cell ``c`` or
+    later, so cells ``a..b-1`` hold CSR positions ``table[a]:table[b]``.
+    ``None`` when the cell space is large relative to the point count (a
+    caller-chosen tiny ``cell_size``); lookups then binary-search
+    ``cell_ids`` instead.
+    """
+    if ncells > max(64 * cell_ids.size, 1 << 20):
+        return None
+    table = np.zeros(ncells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_ids, minlength=ncells), out=table[1:])
+    return table
+
+
+def _row_bounds(cell_ids, table, lo, hi):
+    """CSR ``(start, end)`` of the flat cell ranges ``lo..hi-1``."""
+    if table is None:
+        return np.searchsorted(cell_ids, lo), np.searchsorted(cell_ids, hi)
+    return table[lo], table[hi]
+
+
+def _row_span_pairs(first, width, rows, stride, cell_ids, table):
+    """Yield ``(q, t)`` candidate chunks of many row-span windows.
+
+    Query ``q``'s window is ``rows[q]`` runs of ``width[q]`` consecutive
+    flat cells, the ``k``-th starting at ``first[q] + k * stride[q]``
+    (``stride`` may be a scalar). Its candidates are the CSR positions
+    ``t`` of every point in those cells. ``cell_ids`` and ``table`` are the
+    layout's sorted flat ids and its :func:`_start_table` (or ``None``).
+
+    Chunks hold at most ``BATCH_PAIR_CHUNK`` pairs (or one row), cut on the
+    exact candidate count; one query's candidates may straddle chunks.
+    """
+    chunk = BATCH_PAIR_CHUNK
+    stride = np.broadcast_to(stride, rows.shape)
+    row_end = np.cumsum(rows)
+    q0 = 0
+    while q0 < rows.size:
+        # the queries of about `chunk` row spans
+        q1 = int(np.searchsorted(row_end, row_end[q0] - rows[q0] + chunk, "right"))
+        q1 = max(q1, q0 + 1)
+        r = rows[q0:q1]
+        q = np.repeat(np.arange(q0, q1), r)
+        k = np.arange(q.size) - np.repeat(np.cumsum(r) - r, r)
+        lo = first[q] + k * stride[q]
+        s, e = _row_bounds(cell_ids, table, lo, lo + width[q])
+        q0 = q1
+        cnt = e - s
+        nz = cnt > 0
+        q, s, cnt = q[nz], s[nz], cnt[nz]
+        end = np.cumsum(cnt)
+        j = 0
+        while j < cnt.size:
+            done = end[j] - cnt[j]
+            j1 = max(int(np.searchsorted(end, done + chunk, "right")), j + 1)
+            c = cnt[j:j1]
+            # t runs through each row's [s, s + c) in turn
+            shift = np.repeat(s[j:j1] - (end[j:j1] - c - done), c)
+            yield np.repeat(q[j:j1], c), np.arange(shift.size) + shift
+            j = j1
 
 
 @runtime_checkable
@@ -91,93 +183,130 @@ class GridIndex:
     positions:
         ``(n, 2)`` point array.
     cell_size:
-        Edge length of grid cells. A good default is the typical query
-        radius (e.g. the UDG unit range): each query then touches at most
-        nine cells.
+        Edge length of grid cells (positive; ``inf`` puts every point in
+        one cell). A good default is the typical query radius (e.g. the UDG
+        unit range): each query then touches at most three rows of three
+        cells.
     """
 
     def __init__(self, positions, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        cell_size = float(cell_size)
+        if not cell_size > 0:
+            raise ValueError("cell_size must be positive (and not NaN)")
         self.positions = check_positions(positions)
-        self.cell_size = float(cell_size)
+        self.cell_size = cell_size
+        # a finite stand-in for an infinite cell: still one cell, and an
+        # infinite radius over it stays infinite instead of inf/inf = NaN
+        self._cell = min(cell_size, np.finfo(np.float64).max)
         n = self.positions.shape[0]
-        if n == 0:
-            self._order = np.empty(0, dtype=np.int64)
-            self._cell_ids = np.empty(0, dtype=np.int64)
-            self._starts = {}
-            self._origin = np.zeros(2)
-            self._ncols = 1
-            self._max_cx = -1
-            self._max_cy = -1
-            self._dense = False
-            return
-        self._origin = self.positions.min(axis=0)
-        cells = np.floor((self.positions - self._origin) / self.cell_size)
-        top_x, top_y = cells[:, 0].max(), cells[:, 1].max()
-        if (top_x + 2.0) * (top_y + 2.0) >= 2.0**62:
+        # per-column work: numpy's axis-0 reductions over (n, 2) are ~10x
+        # slower than two 1-D ones
+        cols = [self.positions[:, 0], self.positions[:, 1]]
+        origin = [float(c.min()) if n else 0.0 for c in cols]
+        cells = [np.floor((c - o) / self._cell) for c, o in zip(cols, origin)]
+        top = [float(c.max()) if n else -1.0 for c in cells]
+        if (top[0] + 2.0) * (top[1] + 2.0) >= 2.0**62:
             raise ValueError("cell_size too small: cell ids overflow int64")
-        cells = cells.astype(np.int64)
+        # rows run along the axis with more cells: fewer spans per window
+        self._flip = top[1] > top[0]
+        if self._flip:
+            origin, cells, top = origin[::-1], cells[::-1], top[::-1]
         # occupied extent: queries are clamped to it, both because cells
         # outside it are empty by construction and because unclamped flat
         # ids alias across rows (cx == ncols wraps to column 0 of cy + 1),
         # which used to make wide queries scan cells twice and return
-        # duplicate indices
-        self._max_cx = int(top_x)
-        self._max_cy = int(top_y)
-        self._ncols = self._max_cx + 2
-        flat = cells[:, 1] * self._ncols + cells[:, 0]
-        self._order = np.argsort(flat, kind="stable")
+        # duplicate indices. The spare column keeps a row's end id in-row.
+        self._origin = origin
+        self._top = (int(top[0]), int(top[1]))
+        self._ncols = self._top[0] + 2
+        self._ncells = self._ncols * (self._top[1] + 2)
+        flat = cells[1].astype(np.int64) * self._ncols + cells[0].astype(np.int64)
+        # no query depends on the order within a cell: no stable sort
+        self._order = np.argsort(flat)
         self._cell_ids = flat[self._order]
-        # map flat cell id -> slice into _order
-        uniq, starts = np.unique(self._cell_ids, return_index=True)
-        ends = np.append(starts[1:], len(self._cell_ids))
-        self._starts = {
-            int(c): (int(s), int(e)) for c, s, e in zip(uniq, starts, ends)
-        }
+        self._xs = cols[0][self._order]
+        self._ys = cols[1][self._order]
         self._dense = None
 
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def _cells_overlapping(self, center: np.ndarray, radius: float):
-        lo = np.floor((center - radius - self._origin) / self.cell_size)
-        hi = np.floor((center + radius - self._origin) / self.cell_size)
-        # clamp to the occupied extent: beyond it there is nothing to find,
-        # and flat ids computed from out-of-range cx alias into other rows.
-        # Clamping in float, before the cast, keeps far disks from
-        # overflowing it.
-        top = (self._max_cx, self._max_cy)
-        cx0, cy0 = np.clip(lo, 0, np.add(top, 1)).astype(np.int64).tolist()
-        cx1, cy1 = np.clip(hi, -1, top).astype(np.int64).tolist()
-        for cy in range(cy0, cy1 + 1):
-            base = cy * self._ncols
-            for cx in range(cx0, cx1 + 1):
-                yield base + cx
+    def _dense_spans(self):
+        """The dense :func:`_start_table` (built on first use), or ``None``
+        for a sparse cell space."""
+        if self._dense is None:
+            table = _start_table(self._cell_ids, self._ncells)
+            self._dense = False if table is None else table
+        return None if self._dense is False else self._dense
+
+    def _row_windows(self, cx, cy, radii):
+        """Clamped row-span windows ``(first, width, rows)`` of many disks,
+        in the form :func:`_row_span_pairs` takes (stride ``_ncols``).
+
+        A disk outside the occupied extent gets no rows. One whose window
+        has more rows than there are points gets a single span over every
+        cell instead: scanning all n points is cheaper.
+        """
+        if self._flip:
+            cx, cy = cy, cx
+        (ox, oy), (mx, my), cell = self._origin, self._top, self._cell
+        # clamp in float, before the int64 cast, so a far or huge disk
+        # cannot overflow it; clamped empty windows stay empty (min/max,
+        # not np.clip: its wrapper costs more than the work on small sets)
+        x0 = np.minimum(np.maximum(np.floor((cx - radii - ox) / cell), 0), mx + 1)
+        x1 = np.maximum(np.minimum(np.floor((cx + radii - ox) / cell), mx), -1)
+        y0 = np.minimum(np.maximum(np.floor((cy - radii - oy) / cell), 0), my + 1)
+        y1 = np.maximum(np.minimum(np.floor((cy + radii - oy) / cell), my), -1)
+        width = (x1 - x0 + 1).astype(np.int64)
+        rows = np.where(width > 0, np.maximum(y1 - y0 + 1, 0), 0).astype(np.int64)
+        first = y0.astype(np.int64) * self._ncols + x0.astype(np.int64)
+        big = rows > len(self)
+        if big.any():
+            first[big], width[big], rows[big] = 0, self._ncells, 1
+        return first, width, rows
+
+    def _candidates(self, cx, cy, radii):
+        """Yield ``(query_ids, csr_positions)`` chunks: every point in a cell
+        each disk's window overlaps, no distance predicate applied. The
+        point id of CSR position ``t`` is ``_order[t]``."""
+        first, width, rows = self._row_windows(cx, cy, radii)
+        return _row_span_pairs(
+            first, width, rows, self._ncols, self._cell_ids, self._dense_spans()
+        )
 
     def query_radius(self, center, radius: float) -> np.ndarray:
         """Indices of all points within ``radius`` of ``center`` (inclusive)."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        radius = float(radius)
+        if not radius >= 0:
+            raise ValueError("radius must be non-negative (and not NaN)")
         obs.count("gridindex.queries")
-        center = np.asarray(center, dtype=np.float64)
-        if len(self) == 0:
+        x, y = np.asarray(center, dtype=np.float64).tolist()
+        # the one-disk form of _row_windows, in Python floats: the same
+        # arithmetic and clamps (clamping before the floor is equivalent)
+        u, v = (y, x) if self._flip else (x, y)
+        (ou, ov), (mu, mv), cell = self._origin, self._top, self._cell
+        u0 = math.floor(min(max((u - radius - ou) / cell, 0.0), mu + 1.0))
+        u1 = math.floor(min(max((u + radius - ou) / cell, -1.0), mu))
+        v0 = math.floor(min(max((v - radius - ov) / cell, 0.0), mv + 1.0))
+        v1 = math.floor(min(max((v + radius - ov) / cell, -1.0), mv))
+        if u1 < u0 or v1 < v0:
             return np.empty(0, dtype=np.int64)
-        candidate_blocks = []
-        for cell in self._cells_overlapping(center, radius):
-            span = self._starts.get(cell)
-            if span is not None:
-                candidate_blocks.append(self._order[span[0] : span[1]])
-        if not candidate_blocks:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(candidate_blocks)
-        diff = self.positions[cand] - center
+        if v1 - v0 >= len(self):
+            t = np.arange(len(self))
+        else:
+            lo = np.arange(v0, v1 + 1) * self._ncols + u0
+            s, e = _row_bounds(
+                self._cell_ids, self._dense_spans(), lo, lo + (u1 - u0 + 1)
+            )
+            t = np.concatenate(
+                [np.arange(a, b) for a, b in zip(s.tolist(), e.tolist())]
+            )
         # hypot, not squared distance: d*d underflows to 0 for sub-1e-154
         # gaps (normalized exponential chains reach denormals), which would
         # classify points as inside disks that exclude them. hypot keeps the
         # predicate bitwise-identical to the brute-force kernels.
-        d = np.hypot(diff[:, 0], diff[:, 1])
-        hits = cand[d <= radius]
+        d = np.hypot(self._xs[t] - x, self._ys[t] - y)
+        hits = self._order[t[d <= radius]]
         hits.sort()
         return hits
 
@@ -188,153 +317,15 @@ class GridIndex:
 
     # -- fused batch queries ------------------------------------------------
 
-    def _query_windows(self, centers: np.ndarray, radii: np.ndarray):
-        """Clamped per-query cell-window bounds (four int64 arrays).
-
-        A window whose ``lo > hi`` on either axis is empty (the disk lies
-        entirely outside the occupied extent).
+    def _batch_hits(self, cx, cy, radii):
+        """Yield ``(query_ids, csr_positions)`` hit chunks for many disks:
+        the :meth:`_candidates` under the ``hypot(dx, dy) <= r`` predicate.
         """
-        span = radii[:, None]
-        lo = np.floor((centers - span - self._origin) / self.cell_size)
-        hi = np.floor((centers + span - self._origin) / self.cell_size)
-        # clamp in float, before the int64 cast, so a far or huge disk
-        # cannot overflow it; clamped empty windows stay empty
-        lo_x = np.clip(lo[:, 0], 0, self._max_cx + 1).astype(np.int64)
-        lo_y = np.clip(lo[:, 1], 0, self._max_cy + 1).astype(np.int64)
-        hi_x = np.clip(hi[:, 0], -1, self._max_cx).astype(np.int64)
-        hi_y = np.clip(hi[:, 1], -1, self._max_cy).astype(np.int64)
-        return lo_x, hi_x, lo_y, hi_y
-
-    def _expand_cells(self, qids, lo_x, hi_x, lo_y, hi_y):
-        """Per-(query, cell) pairs for the given windows: ``(qid, flat_id)``.
-
-        Windows are assumed clamped; empty windows contribute nothing.
-        Within one query all yielded cells are distinct (no aliasing, by
-        the clamp), so no candidate is ever scanned twice.
-        """
-        wx = np.maximum(hi_x - lo_x + 1, 0)
-        wy = np.maximum(hi_y - lo_y + 1, 0)
-        area = wx * wy
-        total = int(area.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        reps = np.repeat(np.arange(area.size), area)
-        k = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(area) - area, area
-        )
-        wyq = wy[reps]
-        cy = lo_y[reps] + k % wyq
-        cx = lo_x[reps] + k // wyq
-        return qids[reps], cy * self._ncols + cx
-
-    def _dense_spans(self):
-        """Dense ``(start, count)`` per-flat-cell lookup tables, or ``None``.
-
-        Turns the two binary searches per probed cell into O(1) fancy
-        indexing. Built lazily on the first batch query, and only when the
-        flat cell space is small relative to n (the interference kernels'
-        cell-count clamp guarantees ~16n cells; a caller-chosen tiny
-        ``cell_size`` could make the space huge, in which case the batch
-        tier keeps using ``searchsorted``).
-        """
-        if self._dense is False:
-            return None
-        if self._dense is None:
-            ncells = self._ncols * (self._max_cy + 2)
-            if ncells > max(64 * len(self), 1 << 20):
-                self._dense = False
-                return None
-            cnt = np.bincount(self._cell_ids, minlength=ncells)
-            self._dense = (np.cumsum(cnt) - cnt, cnt)
-        return self._dense
-
-    def _cell_candidates(self, qids, cells):
-        """Expand (query, cell) pairs into (query, point) candidate pairs:
-        dense start/count lookup when available, else two vectorized binary
-        searches over the sorted cell ids."""
-        dense = self._dense_spans()
-        if dense is not None:
-            s = dense[0][cells]
-            cnt = dense[1][cells]
-        else:
-            s = np.searchsorted(self._cell_ids, cells, side="left")
-            e = np.searchsorted(self._cell_ids, cells, side="right")
-            cnt = e - s
-        nz = cnt > 0
-        if not nz.all():
-            s, cnt, qids = s[nz], cnt[nz], qids[nz]
-        total = int(cnt.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        qq = np.repeat(qids, cnt)
-        t = np.arange(total, dtype=np.int64) + np.repeat(
-            s - (np.cumsum(cnt) - cnt), cnt
-        )
-        return qq, self._order[t]
-
-    def _batch_hits(self, centers: np.ndarray, radii: np.ndarray):
-        """Yield ``(query_ids, point_ids)`` hit pairs for many disk queries.
-
-        One fused pass per chunk: window enumeration, CSR candidate
-        expansion, and a single ``hypot`` predicate over every candidate
-        pair at once. Chunks are cut so no pass materializes more than
-        ~:data:`BATCH_PAIR_CHUNK` candidate pairs.
-        """
-        m = centers.shape[0]
-        n = len(self)
-        if m == 0 or n == 0:
+        if len(self) == 0 or radii.size == 0:
             return
-        px = self.positions[:, 0]
-        py = self.positions[:, 1]
-        lo_x, hi_x, lo_y, hi_y = self._query_windows(centers, radii)
-        area = np.maximum(hi_x - lo_x + 1, 0) * np.maximum(hi_y - lo_y + 1, 0)
-        # a window enumerating more cells than there are points (tiny
-        # cell_size, huge radius) is pure overhead — and can be
-        # astronomically large; scan those queries against all points
-        # directly instead, chunked like everything else
-        big = area > max(16, n)
-        if big.any():
-            bq = np.flatnonzero(big)
-            per = max(1, BATCH_PAIR_CHUNK // n)
-            for lo in range(0, bq.size, per):
-                ids = bq[lo : lo + per]
-                d = np.hypot(
-                    px[None, :] - centers[ids, 0, None],
-                    py[None, :] - centers[ids, 1, None],
-                )
-                qq, cand = np.nonzero(d <= radii[ids, None])
-                yield ids[qq], cand
-            # exclude from the window pass below
-            hi_x = np.where(big, lo_x - 1, hi_x)
-            area = np.where(big, 0, area)
-        # candidate-volume estimate per query: window area x mean points
-        # per occupied cell (exact enough to bound memory; the true pair
-        # count is computed per chunk anyway)
-        per_cell = max(1.0, n / max(len(self._starts), 1))
-        weight = np.cumsum(area * per_cell + 1.0)
-        start = 0
-        while start < m:
-            stop = int(
-                np.searchsorted(weight, weight[start] + BATCH_PAIR_CHUNK)
-            )
-            stop = max(stop, start + 1)
-            sl = slice(start, stop)
-            qids, cells = self._expand_cells(
-                np.arange(start, stop, dtype=np.int64),
-                lo_x[sl], hi_x[sl], lo_y[sl], hi_y[sl],
-            )
-            qq, cand = self._cell_candidates(qids, cells)
-            if qq.size:
-                d = np.hypot(px[cand] - centers[qq, 0], py[cand] - centers[qq, 1])
-                keep = d <= radii[qq]
-                yield qq[keep], cand[keep]
-            start = stop
+        for q, t in self._candidates(cx, cy, radii):
+            keep = np.hypot(self._xs[t] - cx[q], self._ys[t] - cy[q]) <= radii[q]
+            yield q[keep], t[keep]
 
     def query_pairs(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         """All ``(query, point)`` hit pairs for many disk queries at once.
@@ -346,19 +337,13 @@ class GridIndex:
         :meth:`query_radius` per row.
         """
         centers = check_positions(centers, name="centers")
-        radii = np.broadcast_to(
-            np.asarray(radii, dtype=np.float64), (centers.shape[0],)
-        )
-        if np.any(radii < 0):
-            raise ValueError("radius must be non-negative")
+        radii = _radii(radii, centers.shape[0])
         obs.count("gridindex.batch_queries", centers.shape[0])
-        qs, ps = [], []
-        for qq, hits in self._batch_hits(centers, radii):
-            qs.append(qq)
-            ps.append(hits)
-        if not qs:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+        qs = [np.empty(0, dtype=np.int64)]
+        ps = [np.empty(0, dtype=np.int64)]
+        for q, t in self._batch_hits(centers[:, 0], centers[:, 1], radii):
+            qs.append(q)
+            ps.append(self._order[t])
         qq = np.concatenate(qs)
         hits = np.concatenate(ps)
         order = np.lexsort((hits, qq))
@@ -369,20 +354,18 @@ class GridIndex:
 
         Equivalent to :func:`repro.geometry.pairwise_within` but near-linear
         for bounded-density instances — and, unlike the scalar tier, one
-        fused batch pass instead of a per-point Python loop.
+        fused batch pass (queries in CSR order) instead of a per-point loop.
         """
         n = len(self)
-        if n == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        radii = np.full(n, float(radius))
-        # one int64 edge key per pair (repro.utils.validation.edge_keys): a 1-D sort
-        # instead of a two-key lexsort
-        keys = []
-        for qq, hits in self._batch_hits(self.positions, radii):
-            keep = hits > qq
-            keys.append(qq[keep] * n + hits[keep])
-        if not keys:
-            return np.empty((0, 2), dtype=np.int64)
+        radii = _radii(radius, n)
+        # one int64 edge key per pair (repro.utils.validation.edge_keys): a
+        # 1-D sort instead of a two-key lexsort. Each pair is found from
+        # both ends; keep the one whose query comes first in CSR order.
+        keys = [np.empty(0, dtype=np.int64)]
+        for q, t in self._batch_hits(self._xs, self._ys, radii):
+            keep = t > q
+            a, b = self._order[q[keep]], self._order[t[keep]]
+            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
         return edges_from_keys(np.sort(np.concatenate(keys)), n)
 
     def count_within(self, centers, radii) -> np.ndarray:
@@ -393,12 +376,8 @@ class GridIndex:
         pass over the CSR layout, not a per-center loop.
         """
         centers = check_positions(centers, name="centers")
-        radii = np.broadcast_to(
-            np.asarray(radii, dtype=np.float64), (centers.shape[0],)
-        )
-        if radii.size and np.any(radii < 0):
-            raise ValueError("radius must be non-negative")
+        radii = _radii(radii, centers.shape[0])
         out = np.zeros(centers.shape[0], dtype=np.int64)
-        for qq, _hits in self._batch_hits(centers, radii):
-            out += np.bincount(qq, minlength=out.size)
+        for q, _t in self._batch_hits(centers[:, 0], centers[:, 1], radii):
+            out += np.bincount(q, minlength=out.size)
         return out

@@ -1,14 +1,15 @@
 """Fused batch interference kernel — the ``method="batch"`` tier.
 
 The scalar grid kernel answers one disk query per Python iteration; at
-n >= 10^4 the per-query interpreter overhead (dict probes, per-node array
-slicing) dominates the arithmetic. This module answers *all* queries of an
-instance — or of a whole micro-batch of instances — in fused structured-
-array passes over the CSR cell layout of
-:class:`repro.geometry.spatial.GridIndex` (float64 SoA positions, cell
-buckets derived from one ``argsort``): window enumeration, candidate
-expansion and the ``hypot`` coverage predicate are each a single
-vectorized operation over every (query, candidate) pair at once.
+n >= 10^4 the per-query interpreter overhead dominates the arithmetic.
+This module answers *all* queries of an instance — or of a whole
+micro-batch of instances — through the row-span enumerator of
+:mod:`repro.geometry.spatial`: each node's query window is a few
+``(start, end)`` runs of the CSR cell layout, queries are walked in CSR
+order over cell-sorted coordinates, and the ``hypot`` coverage predicate
+is one vectorized operation per chunk of at most ``BATCH_PAIR_CHUNK``
+candidate pairs. :func:`node_interference_many` namespaces the cell ids of
+many instances into one layout, so a micro-batch is one enumerator pass.
 
 Equivalence contract: the predicate is byte-for-byte the brute kernel's
 (``hypot(dx, dy) <= r_u * (1 + rtol) + atol``), so ``batch == grid ==
@@ -18,9 +19,9 @@ property suites).
 Backends
 --------
 The default backend is pure numpy (zero new dependencies). When `numba`
-is importable, an optional JIT backend replaces the per-chunk expansion
-with one compiled loop nest over the same CSR arrays — same IEEE
-arithmetic, bit-identical counts. Selection:
+is importable, an optional JIT backend replaces the enumerator with one
+compiled loop nest over the same row spans (one pair of binary searches
+per row) — same IEEE arithmetic, bit-identical counts. Selection:
 
 - ``REPRO_BATCH_BACKEND=numpy`` forces the numpy path;
 - ``REPRO_BATCH_BACKEND=numba`` requires numba (raises if missing);
@@ -37,7 +38,12 @@ import os
 import numpy as np
 
 from repro import obs
-from repro.geometry.spatial import BatchQuery, GridIndex
+from repro.geometry.spatial import (
+    BatchQuery,
+    GridIndex,
+    _row_span_pairs,
+    _start_table,
+)
 
 __all__ = [
     "HAVE_NUMBA",
@@ -57,8 +63,6 @@ def _probe_numba() -> bool:
 
 #: Whether the optional numba backend is importable in this environment.
 HAVE_NUMBA = _probe_numba()
-
-_NUMBA_KERNEL = None
 
 
 def active_backend() -> str:
@@ -84,39 +88,68 @@ def active_backend() -> str:
     return "numba" if HAVE_NUMBA else "numpy"
 
 
+def _covered_rows(xs, ys, r_eff, first, width, rows, stride, cell_ids):
+    """Covered counts of a CSR layout's own points, in CSR order: the
+    numba backend's loop nest (compiled by :func:`_numba_kernel`; plain
+    Python here). Query ``q`` walks its row spans, one pair of binary
+    searches of ``cell_ids`` per row, never one per cell."""
+    counts = np.zeros(xs.shape[0], dtype=np.int64)
+    for q in range(xs.shape[0]):
+        x = xs[q]
+        y = ys[q]
+        r = r_eff[q]
+        for k in range(rows[q]):
+            lo = first[q] + k * stride[q]
+            s = np.searchsorted(cell_ids, lo)
+            e = np.searchsorted(cell_ids, lo + width[q])
+            for t in range(s, e):
+                if t != q and np.hypot(xs[t] - x, ys[t] - y) <= r:
+                    counts[t] += 1
+    return counts
+
+
+_NUMBA_KERNEL = None
+
+
 def _numba_kernel():  # pragma: no cover - requires numba installed
-    """Compile (once) and return the JIT covered-counts kernel."""
+    """Compile (once) and return :func:`_covered_rows` under numba."""
     global _NUMBA_KERNEL
     if _NUMBA_KERNEL is None:
         from numba import njit
 
-        @njit(cache=True)
-        def kernel(
-            px, py, order, cell_ids, lo_x, hi_x, lo_y, hi_y, ncols, r_eff
-        ):
-            n = px.shape[0]
-            counts = np.zeros(n, dtype=np.int64)
-            for u in range(n):
-                r = r_eff[u]
-                x = px[u]
-                y = py[u]
-                for cy in range(lo_y[u], hi_y[u] + 1):
-                    base = cy * ncols
-                    for cx in range(lo_x[u], hi_x[u] + 1):
-                        cell = base + cx
-                        s = np.searchsorted(cell_ids, cell, side="left")
-                        e = np.searchsorted(cell_ids, cell, side="right")
-                        for t in range(s, e):
-                            v = order[t]
-                            if v == u:
-                                continue
-                            d = np.hypot(px[v] - x, py[v] - y)
-                            if d <= r:
-                                counts[v] += 1
-            return counts
-
-        _NUMBA_KERNEL = kernel
+        _NUMBA_KERNEL = njit(cache=True)(_covered_rows)
     return _NUMBA_KERNEL
+
+
+def _covered_counts(xs, ys, r_eff, first, width, rows, stride, cell_ids, table):
+    """``counts[t] = |{q != t : d(q, t) <= r_eff[q]}|`` over a CSR layout.
+
+    Every array is in CSR order; the windows ``first``/``width``/``rows``/
+    ``stride`` and ``cell_ids``/``table`` are as
+    :func:`repro.geometry.spatial._row_span_pairs` takes them.
+    """
+    if active_backend() == "numba":  # pragma: no cover - requires numba
+        try:
+            return _numba_kernel()(
+                xs, ys, r_eff, first, width, rows, stride, cell_ids
+            )
+        except Exception:
+            obs.count("interference.batch.numba_fallback")
+    counts = np.zeros(xs.shape[0], dtype=np.int64)
+    for q, t in _row_span_pairs(first, width, rows, stride, cell_ids, table):
+        keep = np.hypot(xs[t] - xs[q], ys[t] - ys[q]) <= r_eff[q]
+        keep &= q != t
+        counts += np.bincount(t[keep], minlength=counts.size)
+    return counts
+
+
+def _layout_part(index: GridIndex, r_eff: np.ndarray):
+    """One index's points in CSR order as :func:`_covered_counts` columns:
+    ``xs, ys, r_eff, first, width, rows, stride``."""
+    r_sorted = r_eff[index._order]
+    windows = index._row_windows(index._xs, index._ys, r_sorted)
+    stride = np.full(len(index), index._ncols)
+    return (index._xs, index._ys, r_sorted, *windows, stride)
 
 
 def batch_covered_counts(index: BatchQuery, r_eff: np.ndarray) -> np.ndarray:
@@ -126,7 +159,7 @@ def batch_covered_counts(index: BatchQuery, r_eff: np.ndarray) -> np.ndarray:
     the instance's positions; ``r_eff`` is the per-node effective disk
     radius (tolerances already applied). This is the receiver-centric
     interference vector of the indexed point set. :class:`GridIndex`
-    gets the fast CSR/numba internals; other ``BatchQuery``
+    gets the row-span/numba internals; other ``BatchQuery``
     implementations run through their public ``query_pairs``, with
     identical results (the predicate is the contract).
     """
@@ -134,44 +167,16 @@ def batch_covered_counts(index: BatchQuery, r_eff: np.ndarray) -> np.ndarray:
     counts = np.zeros(n, dtype=np.int64)
     if n == 0:
         return counts
+    r_eff = np.asarray(r_eff, dtype=np.float64)
     if not isinstance(index, GridIndex):
         qq, hits = index.query_pairs(index.positions, r_eff)
         keep = qq != hits
         counts += np.bincount(hits[keep], minlength=n)
         return counts
-    backend = active_backend()
-    if backend == "numba":  # pragma: no cover - requires numba installed
-        try:
-            lo_x, hi_x, lo_y, hi_y = index._query_windows(
-                index.positions, r_eff
-            )
-            return _numba_kernel()(
-                np.ascontiguousarray(index.positions[:, 0]),
-                np.ascontiguousarray(index.positions[:, 1]),
-                index._order,
-                index._cell_ids,
-                lo_x, hi_x, lo_y, hi_y,
-                np.int64(index._ncols),
-                np.asarray(r_eff, dtype=np.float64),
-            )
-        except Exception:
-            obs.count("interference.batch.numba_fallback")
-    for qq, hits in index._batch_hits(index.positions, r_eff):
-        keep = qq != hits
-        counts += np.bincount(hits[keep], minlength=n)
+    counts[index._order] = _covered_counts(
+        *_layout_part(index, r_eff), index._cell_ids, index._dense_spans()
+    )
     return counts
-
-
-def _fused_windows(pos, r_eff, origin, cell, base, ncols, max_cx, max_cy):
-    """Per-point clamped windows in a *namespaced* flat-cell space."""
-    span = r_eff[:, None]
-    lo = np.floor((pos - span - origin) / cell)
-    hi = np.floor((pos + span - origin) / cell)
-    lo_x = np.maximum(lo[:, 0].astype(np.int64), 0)
-    lo_y = np.maximum(lo[:, 1].astype(np.int64), 0)
-    hi_x = np.minimum(hi[:, 0].astype(np.int64), max_cx)
-    hi_y = np.minimum(hi[:, 1].astype(np.int64), max_cy)
-    return lo_x, hi_x, lo_y, hi_y
 
 
 def node_interference_many(
@@ -179,11 +184,13 @@ def node_interference_many(
 ) -> list[np.ndarray]:
     """Per-node interference vectors for many instances, fused.
 
-    The instances of one serve micro-batch are concatenated into a single
-    float64 SoA with per-instance namespaced cell ids (one global argsort,
-    one candidate expansion, one ``hypot`` pass, one segmented bincount),
-    so a whole coalesced batch costs one array pass instead of a Python
-    loop over scalar kernel calls. Results are bit-identical to calling
+    Each instance gets its own grid (own origin, cell size and row
+    stride); their flat cell ids and CSR positions are offset into
+    disjoint ranges and concatenated into one sorted CSR layout, so a
+    whole coalesced batch is one chunked row-span pass and one segmented
+    bincount instead of a Python loop over scalar kernel calls. No window
+    crosses instances: a window's cells lie in its own instance's range.
+    Results are bit-identical to calling
     :func:`repro.interference.receiver.node_interference` per instance
     (any method — the kernels agree bit-for-bit by contract).
 
@@ -199,9 +206,7 @@ def node_interference_many(
         atol = receiver.ATOL
     topologies = list(topologies)
     results: list[np.ndarray | None] = [None] * len(topologies)
-    fused: list[int] = []
-    preps: dict[int, float] = {}
-    total_n = 0
+    fused: list[tuple[int, float]] = []
     for i, topo in enumerate(topologies):
         if topo.n == 0:
             results[i] = np.empty(0, dtype=np.int64)
@@ -215,105 +220,36 @@ def node_interference_many(
         )
         if cell is None:
             results[i] = receiver._interference_brute(topo, rtol, atol)
-            continue
-        preps[i] = cell
-        fused.append(i)
-        total_n += topo.n
+        else:
+            fused.append((i, cell))
     if not fused:
-        return [r for r in results]  # type: ignore[misc]
+        return results  # type: ignore[return-value]
 
-    with obs.span(
-        "interference.node_many", instances=len(fused), n=total_n
-    ):
+    total_n = sum(topologies[i].n for i, _ in fused)
+    with obs.span("interference.node_many", instances=len(fused), n=total_n):
         obs.count("interference.method.batch_many")
-        # build the namespaced SoA: per instance an own origin/cell/ncols,
-        # flat ids offset into disjoint ranges so candidates never cross
-        # instances, then ONE argsort + CSR over the whole micro-batch
-        pos_parts, reff_parts = [], []
-        flat_parts, win_parts = [], []
-        offsets = [0]
-        base = 0
-        for i in fused:
+        parts, ids, orders = [], [], []
+        base = off = 0
+        for i, cell in fused:
             topo = topologies[i]
-            pos = topo.positions
-            r_eff = topo.radii * (1.0 + rtol) + atol
-            cell = preps[i]
-            origin = pos.min(axis=0)
-            cells = np.floor((pos - origin) / cell).astype(np.int64)
-            max_cx = int(cells[:, 0].max())
-            max_cy = int(cells[:, 1].max())
-            ncols = max_cx + 2
-            flat_parts.append(base + cells[:, 1] * ncols + cells[:, 0])
-            lo_x, hi_x, lo_y, hi_y = _fused_windows(
-                pos, r_eff, origin, cell, base, ncols, max_cx, max_cy
+            index = GridIndex(topo.positions, cell_size=cell)
+            xs, ys, r_eff, first, width, rows, stride = _layout_part(
+                index, topo.radii * (1.0 + rtol) + atol
             )
-            win_parts.append((base, ncols, lo_x, hi_x, lo_y, hi_y))
-            pos_parts.append(pos)
-            reff_parts.append(r_eff)
-            base += ncols * (max_cy + 2)
-            offsets.append(offsets[-1] + topo.n)
-        allpos = np.concatenate(pos_parts, axis=0)
-        allreff = np.concatenate(reff_parts)
-        allflat = np.concatenate(flat_parts)
-        order = np.argsort(allflat, kind="stable")
-        sorted_ids = allflat[order]
-
-        # expand (query, cell) pairs across every instance at once
-        lo_x = np.concatenate([w[2] for w in win_parts])
-        hi_x = np.concatenate([w[3] for w in win_parts])
-        lo_y = np.concatenate([w[4] for w in win_parts])
-        hi_y = np.concatenate([w[5] for w in win_parts])
-        bases = np.concatenate(
-            [np.full(topologies[i].n, w[0], dtype=np.int64)
-             for i, w in zip(fused, win_parts)]
+            parts.append((xs, ys, r_eff, first + base, width, rows, stride))
+            ids.append(index._cell_ids + base)
+            orders.append(index._order + off)
+            base += index._ncells
+            off += topo.n
+        cell_ids = np.concatenate(ids)
+        counts = np.empty(off, dtype=np.int64)
+        counts[np.concatenate(orders)] = _covered_counts(
+            *(np.concatenate(col) for col in zip(*parts)),
+            cell_ids,
+            _start_table(cell_ids, base),
         )
-        strides = np.concatenate(
-            [np.full(topologies[i].n, w[1], dtype=np.int64)
-             for i, w in zip(fused, win_parts)]
-        )
-        wx = np.maximum(hi_x - lo_x + 1, 0)
-        wy = np.maximum(hi_y - lo_y + 1, 0)
-        area = wx * wy
-        total = int(area.sum())
-        counts = np.zeros(allpos.shape[0], dtype=np.int64)
-        if total:
-            reps = np.repeat(np.arange(area.size), area)
-            k = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(area) - area, area
-            )
-            wyq = wy[reps]
-            cells = (
-                bases[reps]
-                + (lo_y[reps] + k % wyq) * strides[reps]
-                + (lo_x[reps] + k // wyq)
-            )
-            if base <= max(64 * total_n, 1 << 20):
-                # dense per-cell lookup (same trick as GridIndex._dense_spans)
-                ccnt = np.bincount(allflat, minlength=base)
-                cstart = np.cumsum(ccnt) - ccnt
-                s = cstart[cells]
-                cnt = ccnt[cells]
-            else:
-                s = np.searchsorted(sorted_ids, cells, side="left")
-                e = np.searchsorted(sorted_ids, cells, side="right")
-                cnt = e - s
-            nz = cnt > 0
-            s, cnt, reps = s[nz], cnt[nz], reps[nz]
-            ctotal = int(cnt.sum())
-            if ctotal:
-                qq = np.repeat(reps, cnt)
-                t = np.arange(ctotal, dtype=np.int64) + np.repeat(
-                    s - (np.cumsum(cnt) - cnt), cnt
-                )
-                cand = order[t]
-                d = np.hypot(
-                    allpos[cand, 0] - allpos[qq, 0],
-                    allpos[cand, 1] - allpos[qq, 1],
-                )
-                keep = (d <= allreff[qq]) & (qq != cand)
-                counts = np.bincount(
-                    cand[keep], minlength=allpos.shape[0]
-                )
-        for j, i in enumerate(fused):
-            results[i] = counts[offsets[j] : offsets[j + 1]]
-    return [r for r in results]  # type: ignore[misc]
+        off = 0
+        for i, _ in fused:
+            results[i] = counts[off : off + topologies[i].n]
+            off += topologies[i].n
+    return results  # type: ignore[return-value]

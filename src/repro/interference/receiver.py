@@ -136,8 +136,8 @@ def _grid_cell_size(
     multi-instance kernel so every tier makes identical fallback choices.
     """
     positive = radii[radii > 0]
-    spans = pos.max(axis=0) - pos.min(axis=0)
-    span = float(spans.max())
+    spans = [float(np.ptp(pos[:, 0])), float(np.ptp(pos[:, 1]))]
+    span = max(spans)
     if positive.size == 0 or span <= 0.0:
         # no transmitters, or all points coincident: nothing for a grid to
         # prune — the vectorized pass is both correct and cheapest
@@ -145,9 +145,9 @@ def _grid_cell_size(
         return None
     # Median positive radius is a good cell size for homogeneous radii, but
     # degenerates when radii span many orders of magnitude (exponential
-    # chains): clamp the implied cell count so a span-scale query can never
-    # enumerate more than O(n) cells.
-    cell = min(clamped_cell_size(float(np.median(positive)), span, n), span)
+    # chains): clamp the grid to ~16n cells in all (both spans, so a 1-D
+    # highway keeps fine cells) and a span-scale query stays O(n).
+    cell = min(clamped_cell_size(float(np.median(positive)), spans, n), span)
     # If the average query disk's bounding box covers a large fraction of
     # the instance, every query scans nearly all points regardless of cell
     # size; the brute kernel does the same scans vectorized.

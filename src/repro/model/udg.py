@@ -42,8 +42,8 @@ def unit_disk_graph(
     if method == "brute":
         edges = pairwise_within(pos, unit)
     elif method == "grid":
-        span = float(np.ptp(pos, axis=0).max()) if pos.shape[0] else 0.0
-        cell = clamped_cell_size(unit, span, pos.shape[0])
+        spans = (np.ptp(pos[:, 0]), np.ptp(pos[:, 1])) if pos.shape[0] else 0.0
+        cell = clamped_cell_size(unit, spans, pos.shape[0])
         edges = GridIndex(pos, cell_size=cell).pairs_within(unit)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -77,15 +77,13 @@ def _candidate_pairs(index, centers, radii):
     query's bounding box — *no* distance predicate applied (the bulk path
     applies the engine's exact squared-distance test itself, which is why
     it cannot use :meth:`GridIndex._batch_hits`'s ``hypot`` predicate)."""
-    m = centers.shape[0]
-    if m == 0 or len(index) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    lo_x, hi_x, lo_y, hi_y = index._query_windows(centers, radii)
-    qids, cells = index._expand_cells(
-        np.arange(m, dtype=np.int64), lo_x, hi_x, lo_y, hi_y
-    )
-    return index._cell_candidates(qids, cells)
+    qs = [np.empty(0, dtype=np.int64)]
+    ps = [np.empty(0, dtype=np.int64)]
+    if len(index):
+        for q, t in index._candidates(centers[:, 0], centers[:, 1], radii):
+            qs.append(q)
+            ps.append(index._order[t])
+    return np.concatenate(qs), np.concatenate(ps)
 
 
 def _exact_disk_pairs(index, centers, radii):

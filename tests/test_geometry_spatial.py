@@ -80,6 +80,31 @@ class TestGridIndex:
         assert clamped_cell_size(1e-9, 2.5, 25) == 0.125
         assert clamped_cell_size(0.5, 0.0, 0) == 0.5
 
+    def test_clamped_cell_size_bounds_total_cells(self):
+        # (x, y) spans bound nx * ny <= 16n: a square matches the scalar
+        # form, a 1-D extent may put all 16n = 400 cells along its length
+        assert clamped_cell_size(1e-9, (2.5, 2.5), 25) == 0.125
+        assert clamped_cell_size(1e-9, (100.0, 0.0), 25) == pytest.approx(0.25)
+        assert clamped_cell_size(1e-9, (0.0, 100.0), 25) == pytest.approx(0.25)
+        # a sliver narrower than one cell still counts as one row
+        assert clamped_cell_size(1e-9, (100.0, 0.01), 25) == pytest.approx(0.25)
+        assert clamped_cell_size(1e-9, (40.0, 10.0), 25) == pytest.approx(1.0)
+        assert clamped_cell_size(0.5, (100.0, 0.0), 25) == 0.5
+        assert clamped_cell_size(0.5, (0.0, 0.0), 0) == 0.5
+
+    def test_one_dimensional_extent_is_one_long_row(self):
+        # a vertical chain: rows run along y, so every window is one span
+        pos = np.zeros((300, 2))
+        pos[:, 1] = exponential_chain(300, normalize=False)[:, 0]
+        cell = clamped_cell_size(1.0, np.ptp(pos, axis=0), 300)
+        index = GridIndex(pos, cell_size=cell)
+        assert index._top[1] == 0 and index._ncols > 8 * 300
+        radii = np.full(300, 2.0**290)
+        assert index._row_windows(index._xs, index._ys, radii)[2].max() == 1
+        counts = index.count_within(pos, 2.0**290)
+        d = np.abs(pos[:, 1][:, None] - pos[:, 1][None, :])
+        np.testing.assert_array_equal(counts, (d <= 2.0**290).sum(axis=1))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_and_far_disks_do_not_overflow_windows(self, random_positions):
         index = GridIndex(random_positions, cell_size=0.5)
@@ -188,3 +213,49 @@ class TestBatchQueries:
         np.testing.assert_array_equal(
             index.count_within(random_positions, 1.0), want
         )
+
+
+class TestNonFiniteInputs:
+    """A NaN cell size or radius raises ValueError before any int64 cast
+    (which would warn, then crash or build garbage windows); ``inf`` is a
+    valid value for both."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_cell_size_rejected(self, random_positions):
+        with pytest.raises(ValueError, match="cell_size"):
+            GridIndex(random_positions, cell_size=float("nan"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_radius_rejected(self, random_positions):
+        index = GridIndex(random_positions, cell_size=0.5)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="radius"):
+            index.query_radius((0.0, 0.0), nan)
+        with pytest.raises(ValueError, match="radius"):
+            index.query_point(0, nan)
+        with pytest.raises(ValueError, match="radius"):
+            index.query_pairs(random_positions[:3], [0.5, nan, 0.5])
+        with pytest.raises(ValueError, match="radius"):
+            index.count_within(random_positions[:3], nan)
+        with pytest.raises(ValueError, match="radius"):
+            index.pairs_within(nan)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cell", [0.5, float("inf")])
+    def test_inf_radius_covers_everything(self, random_positions, cell):
+        index = GridIndex(random_positions, cell_size=cell)
+        n = len(random_positions)
+        inf = float("inf")
+        assert index.query_radius((0.0, 0.0), inf).tolist() == list(range(n))
+        assert index.count_within(random_positions[:2], inf).tolist() == [n, n]
+        assert len(index.pairs_within(inf)) == n * (n - 1) // 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inf_cell_size_is_one_cell(self, random_positions):
+        index = GridIndex(random_positions, cell_size=float("inf"))
+        d = distance_matrix(random_positions)
+        np.testing.assert_array_equal(
+            index.count_within(random_positions, 0.7), (d <= 0.7).sum(axis=1)
+        )
+        got = index.query_radius(random_positions[0], 0.7)
+        np.testing.assert_array_equal(got, np.flatnonzero(d[0] <= 0.7))

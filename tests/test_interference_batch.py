@@ -13,9 +13,12 @@ import pytest
 from repro.geometry.generators import (
     cluster_with_remote,
     exponential_chain,
+    random_blobs,
+    random_highway,
     random_udg_connected,
     two_exponential_chains,
 )
+from repro.geometry.spatial import GridIndex
 from repro.highway.linear import linear_chain
 from repro.interference.batch import (
     HAVE_NUMBA,
@@ -23,7 +26,10 @@ from repro.interference.batch import (
     node_interference_many,
 )
 from repro.interference.receiver import (
+    ATOL,
     AUTO_BATCH_MIN_N,
+    RTOL,
+    _grid_cell_size,
     node_interference,
     node_interference_naive,
 )
@@ -88,6 +94,116 @@ class TestBatchEquivalence:
             np.testing.assert_array_equal(
                 vec, node_interference(topo, method="brute", **tol)
             )
+
+
+def _wide_instances():
+    """Families above the crossover that the first net misses: highways
+    (one long grid row under the area clamp), Gaussian blobs and a
+    normalized exponential chain."""
+    out = []
+    for n in (2 * AUTO_BATCH_MIN_N, 1000):
+        udg = unit_disk_graph(random_highway(n, max_gap=1.0, seed=n))
+        out += [udg, build("emst", udg), build("nnf", udg)]
+    pos = random_blobs(600, side=14.0, blobs=6, spread=1.0, seed=3)
+    udg = unit_disk_graph(pos)
+    out += [udg, build("emst", udg), build("knn3", udg)]
+    out.append(linear_chain(exponential_chain(2 * AUTO_BATCH_MIN_N)))
+    return out
+
+
+def _boundary_gadgets(k=100, seed=0, aligned=False):
+    """``k`` far-apart senders, each with probes at d = r(1 +- RTOL), at
+    the effective radius and one ulp past it, along both axes and a
+    diagonal: every probe sits on the coverage boundary. ``aligned``
+    gives every sender r = 0.5 (the grid's cell) on a lattice anchored at
+    the grid origin, so the probes also sit on cell boundaries."""
+    rng = np.random.default_rng(seed)
+    pos, edges = [], []
+    for i in range(k):
+        x, y = 4.0 * (i % 10), 4.0 * (i // 10)
+        r = 0.5 if aligned else float(rng.uniform(0.25, 1.0))
+        u = len(pos)
+        pos += [(x, y), (x + r, y)]
+        edges.append((u, u + 1))
+        # the radius the topology derives from the stored partner
+        r = float(np.hypot(r + x - x, 0.0))
+        reff = r * (1.0 + RTOL) + ATOL
+        for d in (r * (1 + RTOL), r * (1 - RTOL), reff, np.nextafter(reff, 2.0)):
+            pos += [(x - d, y), (x, y + d), (x + d / np.sqrt(2), y - d / np.sqrt(2))]
+    if aligned:
+        pos.append((-4.0, -4.0))  # an isolated anchor fixes the grid origin
+    return Topology(np.array(pos), edges)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=["default", "loose"])
+class TestWideEquivalence:
+    def test_families_match_all_kernels(self, tol):
+        topos = _wide_instances()
+        many = node_interference_many(topos, **tol)
+        for topo, fused in zip(topos, many):
+            want = node_interference(topo, method="brute", **tol)
+            np.testing.assert_array_equal(fused, want)
+            np.testing.assert_array_equal(
+                node_interference(topo, method="batch", **tol), want
+            )
+            np.testing.assert_array_equal(
+                node_interference(topo, method="grid", **tol), want
+            )
+            if topo.n <= 2 * AUTO_BATCH_MIN_N:
+                np.testing.assert_array_equal(
+                    node_interference_naive(topo, **tol), want
+                )
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["random", "aligned"])
+    def test_boundary_pairs_match_all_kernels(self, tol, aligned):
+        topo = _boundary_gadgets(aligned=aligned)
+        assert topo.n > AUTO_BATCH_MIN_N
+        want = node_interference_naive(topo, **tol)
+        for method in ("brute", "batch", "grid"):
+            got = node_interference(topo, method=method, **tol)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(node_interference_many([topo], **tol)[0], want)
+        # the construction straddles the boundary: some probes are inside
+        # their sender's disk and some are not
+        sender = np.arange(topo.n) // 14 * 14
+        probe = np.arange(topo.n) % 14 >= 2
+        gap = topo.positions[probe] - topo.positions[sender[probe]]
+        r_eff = topo.radii * (1.0 + RTOL) + ATOL
+        inside = np.hypot(gap[:, 0], gap[:, 1]) <= r_eff[sender[probe]]
+        assert 0 < inside.sum() < inside.size
+
+
+def test_highway_takes_the_area_clamp():
+    # a 1-D extent no longer gets span / (4 sqrt(n)) cells: the cell is the
+    # median radius, far below the old 1000-node clamp of ~6.6 units
+    topo = build("emst", unit_disk_graph(random_highway(1000, max_gap=1.0, seed=1)))
+    r_eff = topo.radii * (1.0 + RTOL) + ATOL
+    cell = _grid_cell_size(topo.positions, topo.radii, r_eff, topo.n)
+    assert cell == float(np.median(topo.radii[topo.radii > 0]))
+    assert cell < np.ptp(topo.positions[:, 0]) / (4.0 * np.sqrt(topo.n)) / 5
+
+
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
+    import repro.geometry.spatial as spatial
+
+    topos = _instances() + _wide_instances()[:3]
+    want_vecs = [node_interference(t, method="batch") for t in topos]
+    want_many = node_interference_many(topos)
+    pos = random_udg_connected(300, side=6.0, seed=7)
+    index = GridIndex(pos, cell_size=1.0)
+    want_pairs = index.pairs_within(1.0)
+    unchunked = list(index._candidates(index._xs, index._ys, np.ones(300)))
+    monkeypatch.setattr(spatial, "BATCH_PAIR_CHUNK", 16)
+    chunks = list(index._candidates(index._xs, index._ys, np.ones(300)))
+    assert len(unchunked) == 1 and len(chunks) > 100
+    np.testing.assert_array_equal(
+        np.concatenate([t for _, t in chunks]), unchunked[0][1]
+    )
+    np.testing.assert_array_equal(index.pairs_within(1.0), want_pairs)
+    for topo, vec in zip(topos, want_vecs):
+        np.testing.assert_array_equal(node_interference(topo, method="batch"), vec)
+    for got, vec in zip(node_interference_many(topos), want_many):
+        np.testing.assert_array_equal(got, vec)
 
 
 class TestDispatch:

@@ -18,8 +18,17 @@ from repro.geometry.generators import (
     two_exponential_chains,
 )
 from repro.highway.linear import linear_chain
+from repro.geometry.spatial import GridIndex
+from repro.interference.batch import (
+    _covered_rows,
+    _layout_part,
+    node_interference_many,
+)
 from repro.interference.receiver import (
+    ATOL,
     AUTO_GRID_MIN_N,
+    RTOL,
+    _grid_cell_size,
     node_interference,
     node_interference_naive,
 )
@@ -92,6 +101,30 @@ class TestKernelsAgree:
                 np.testing.assert_array_equal(
                     brute, node_interference_naive(topology, **tol)
                 )
+
+    @pytest.mark.parametrize(
+        "n, normalize", [(300, False), (1024, True)], ids=["raw300", "norm1024"]
+    )
+    def test_exponential_chain_16n_cell_row(self, tol, n, normalize):
+        """The area clamp lays a 1-D chain out as ONE grid row of ~16n
+        cells. The batch kernel (the numba backend where installed), the
+        fused many kernel and the row-span loop nest run as plain Python
+        must walk it by row spans and still equal brute."""
+        topology = linear_chain(exponential_chain(n, normalize=normalize))
+        rtol = tol.get("rtol", RTOL)
+        r_eff = topology.radii * (1.0 + rtol) + tol.get("atol", ATOL)
+        cell = _grid_cell_size(topology.positions, topology.radii, r_eff, n)
+        index = GridIndex(topology.positions, cell_size=cell)
+        assert index._top[1] == 0 and index._ncols > 8 * n
+        brute = node_interference(topology, method="brute", **tol)
+        np.testing.assert_array_equal(
+            node_interference(topology, method="batch", **tol), brute
+        )
+        np.testing.assert_array_equal(
+            node_interference_many([topology], **tol)[0], brute
+        )
+        rows = _covered_rows(*_layout_part(index, r_eff), index._cell_ids)
+        np.testing.assert_array_equal(rows[np.argsort(index._order)], brute)
 
     def test_adversarial_two_chains(self, tol):
         for m in (4, 8, 16):
