@@ -2,8 +2,8 @@
 
 Three hard gates ride with the throughput numbers:
 
-1. **Speedup**: the batch tier must be >= 10x faster than the scalar
-   grid kernel at ``n >= 1e4``, with the attribution read from obs spans
+1. **Speedup**: the batch tier must be >= 100x faster than the blocked
+   brute kernel at ``n = 1e4``, with the attribution read from obs spans
    (``interference.node`` with ``method`` attrs), not hand-placed
    timers — the measurement and the production telemetry are the same
    code path.
@@ -36,9 +36,11 @@ from repro.interference.receiver import (
 from repro.model.udg import unit_disk_graph
 from repro.topologies import build
 
-#: Speedup the batch tier must hold over the scalar grid kernel at
-#: ``SPEEDUP_N`` (ISSUE acceptance: >= 10x at n >= 1e4; measured 17-18x).
-SPEEDUP_FLOOR = 10.0
+#: Speedup the batch tier must hold over the brute kernel at
+#: ``SPEEDUP_N``. On a 2-vCPU Xeon brute takes 2.8-2.9 s and batch 5-8 ms
+#: (350-580x); the floor allows ~28 ms per batch call, as tight as the
+#: old >= 10x over the retired scalar grid kernel (182-260 ms there).
+SPEEDUP_FLOOR = 100.0
 SPEEDUP_N = 10_000
 SPEEDUP_ROUNDS = 3
 
@@ -81,22 +83,21 @@ def speedup_topology():
 
 
 def test_batch_speedup_gate(speedup_topology):
-    """Batch tier >= 10x over scalar grid at n = 1e4, span-attributed."""
-    # warm both kernels (first-touch allocations, index build)
-    node_interference(speedup_topology, method="grid")
-    node_interference(speedup_topology, method="batch")
-
-    best = 0.0
+    """Batch tier >= 100x over brute at n = 1e4, span-attributed: brute
+    timed once (seconds, so noise is small), batch best of three."""
+    node_interference(speedup_topology, method="batch")  # warm
+    with obs.capture() as trace:
+        want = node_interference(speedup_topology, method="brute")
+    brute_s = _span_seconds(trace, "brute")
+    batch_s = float("inf")
     for _ in range(SPEEDUP_ROUNDS):
         with obs.capture() as trace:
-            want = node_interference(speedup_topology, method="grid")
             got = node_interference(speedup_topology, method="batch")
         np.testing.assert_array_equal(got, want)
-        grid_s = _span_seconds(trace, "grid")
-        batch_s = _span_seconds(trace, "batch")
-        best = max(best, grid_s / batch_s)
-    assert best >= SPEEDUP_FLOOR, (
-        f"batch tier only {best:.1f}x over grid at n={SPEEDUP_N} "
+        batch_s = min(batch_s, _span_seconds(trace, "batch"))
+    speedup = brute_s / batch_s
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"batch tier only {speedup:.1f}x over brute at n={SPEEDUP_N} "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
 

@@ -23,7 +23,7 @@ def test_local_search_random_60(benchmark):
     emst_i = graph_interference(build("emst", udg))
 
     def run():
-        return reduce_interference(udg, seed=0, max_rounds=1)
+        return reduce_interference(udg, seed=0)
 
     out = benchmark.pedantic(run, rounds=3, iterations=1)
     assert graph_interference(out) <= emst_i
@@ -37,7 +37,7 @@ def test_local_search_adversarial(benchmark):
     emst_i = graph_interference(build("emst", udg))
 
     def run():
-        return reduce_interference(udg, seed=0, max_rounds=2)
+        return reduce_interference(udg, seed=0)
 
     out = benchmark.pedantic(run, rounds=3, iterations=1)
     # the headline: escape the Omega(n) trap

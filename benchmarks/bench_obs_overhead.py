@@ -71,7 +71,7 @@ def _kernel_seconds(topology, method, repeats=5):
     return sorted(times)[len(times) // 2]
 
 
-@pytest.mark.parametrize("method", ["brute", "grid"])
+@pytest.mark.parametrize("method", ["brute", "batch"])
 def test_disabled_overhead_under_budget(kernel_topology, method):
     """Hard gate: implied disabled-obs overhead on the kernels is <5%."""
     span_cost = _per_op_seconds(lambda: obs.span("x", n=1).__exit__(None, None, None))

@@ -1,6 +1,6 @@
 """P1: performance benchmarks of the computational kernels.
 
-Compares the vectorized interference kernel against the grid variant and
+Compares the vectorized interference kernel against the batch tier and
 the pure-Python reference, and the two UDG construction kernels — the
 profile-then-vectorize workflow of the HPC guides, kept honest over time.
 """
@@ -28,8 +28,8 @@ def test_interference_brute(benchmark, kernel_topology):
 
 
 @pytest.mark.benchmark(group="kernel-interference")
-def test_interference_grid(benchmark, kernel_topology):
-    vec = benchmark(node_interference, kernel_topology, method="grid")
+def test_interference_batch(benchmark, kernel_topology):
+    vec = benchmark(node_interference, kernel_topology, method="batch")
     np.testing.assert_array_equal(
         vec, node_interference(kernel_topology, method="brute")
     )

@@ -23,7 +23,7 @@ def compare(title, udg, unit, optimal=None):
         ("EMST", build("emst", udg)),
         ("LMST", build("lmst", udg)),
         ("A_gen 2-D", a_gen_2d(udg.positions, unit=unit)),
-        ("local search", reduce_interference(udg, seed=0, max_rounds=3)),
+        ("local search", reduce_interference(udg, seed=0)),
     ):
         rows.append([name, graph_interference(topo), topo.n_edges, topo.is_connected()])
     if optimal is not None:
@@ -49,7 +49,7 @@ def main() -> None:
     )
 
     print("Local-search tree on the random deployment:")
-    print(render_scatter(reduce_interference(udg, seed=0, max_rounds=1), width=70, height=22))
+    print(render_scatter(reduce_interference(udg, seed=0), width=70, height=22))
     print(
         "\nTakeaway: on benign instances the EMST is hard to beat by much, "
         "but on adversarial geometry the local search escapes the Omega(n) "

@@ -32,7 +32,7 @@ def run_ext_2d(seed: int = 41, adversarial_ms=(8, 16)) -> ExperimentResult:
     def record(name, udg, unit):
         emst = build("emst", udg)
         g2 = a_gen_2d(udg.positions, unit=unit)
-        ls = reduce_interference(udg, seed=seed, max_rounds=3)
+        ls = reduce_interference(udg, seed=seed)
         row = [
             name,
             udg.n,

@@ -1,20 +1,20 @@
 """E6 / Theorem 5.2 — sqrt(n) lower bound, checked against exact optima.
 
-For small chains the branch-and-bound solver computes the true optimum;
-Theorem 5.2 says it can never dip below sqrt(n), and A_exp should track it
-within a small constant factor.
+For small chains the certified solver (:func:`repro.opt.solve_opt`)
+computes the true optimum; Theorem 5.2 says it can never dip below
+sqrt(n), and A_exp should track it within a small constant factor.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.exact.radii_search import minimum_interference
 from repro.experiments.registry import ExperimentResult, register
 from repro.geometry.generators import exponential_chain
 from repro.highway.a_exp import a_exp
 from repro.highway.bounds import exp_chain_lower_bound
 from repro.interference.receiver import graph_interference
+from repro.opt import solve_opt
 
 
 @register(
@@ -28,7 +28,10 @@ def run_thm52(sizes=(3, 4, 5, 6, 7, 8, 9, 10)) -> ExperimentResult:
     data = {"n": [], "opt": [], "aexp": []}
     for n in sizes:
         pos = exponential_chain(n)
-        opt, topo = minimum_interference(pos)
+        outcome = solve_opt(pos)
+        if outcome.status != "optimal":
+            raise RuntimeError(f"OPT not certified on exponential_chain({n})")
+        opt, topo = outcome.value, outcome.topology
         aexp_i = graph_interference(a_exp(pos))
         lb = exp_chain_lower_bound(n)
         ok = opt >= lb - 1e-9 or opt >= math.floor(lb)

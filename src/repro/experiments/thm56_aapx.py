@@ -3,14 +3,14 @@
 Measures the certified approximation ratio I(A_apx) / max(lower bound, OPT)
 across regimes: the uniform chain (linear branch), the exponential chain
 (A_gen branch) and random highways. For tiny instances the true optimum
-from the branch-and-bound solver replaces the Lemma 5.5 bound.
+from the certified solver (:func:`repro.opt.solve_opt`) replaces the
+Lemma 5.5 bound.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.exact.radii_search import minimum_interference
 from repro.experiments.registry import ExperimentResult, register
 from repro.geometry.generators import (
     exponential_chain,
@@ -20,6 +20,7 @@ from repro.geometry.generators import (
 )
 from repro.highway.a_apx import a_apx
 from repro.interference.receiver import graph_interference
+from repro.opt import solve_opt
 
 
 def _instances(seed: int):
@@ -46,8 +47,10 @@ def run_thm56(seed: int = 13) -> ExperimentResult:
         topo, info = a_apx(pos, return_info=True)
         ival = graph_interference(topo)
         if exact:
-            opt, _ = minimum_interference(pos)
-            baseline = float(opt)
+            outcome = solve_opt(pos)
+            if outcome.status != "optimal":
+                raise RuntimeError(f"OPT not certified on {name}")
+            baseline = float(outcome.value)
             baseline_kind = "OPT"
         else:
             baseline = max(info.lower_bound, 1.0)

@@ -15,6 +15,7 @@ recompute.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_right
 from collections import deque
 
@@ -168,8 +169,8 @@ def reduce_interference(
     udg: Topology,
     start: Topology | None = None,
     *,
-    max_rounds: int = 30,
     seed=None,
+    _deadline: float | None = None,
 ) -> Topology:
     """Hill-climb edge swaps over spanning trees of ``udg``.
 
@@ -181,17 +182,19 @@ def reduce_interference(
         Connected spanning subtopology to improve; defaults to the
         Euclidean MST of ``udg``. Non-tree starts are first pruned to a
         spanning tree (extra edges only ever add interference).
-    max_rounds:
-        Kept for compatibility; any value ``>= 1`` behaves the same. The
-        search makes full passes over the candidate edges in a fresh
-        random order and stops after the first pass that finds no
-        improving swap. That tree is a fixed point: a further pass would
-        find no swap either. ``0`` skips the search and returns the
-        start's spanning tree.
+
+    The search makes full passes over the candidate edges in a fresh
+    random order and stops after the first pass that finds no improving
+    swap: that tree is a fixed point, a further pass would find no swap
+    either. ``_deadline`` (a ``time.perf_counter()`` reading, set by
+    :func:`repro.opt.heuristic_opt` from the solve's time budget) is read
+    before every 256th candidate edge; past it the search stops with its
+    current tree, which is always a connected spanning tree.
 
     Returns a topology with ``I(G)`` no worse than the start's.
     """
     from repro.graphs.mst import euclidean_mst_edges
+    from repro.opt.config import _TIME_CHECK_MASK  # repro.opt imports us
 
     pos = udg.positions
     if start is None:
@@ -208,11 +211,20 @@ def reduce_interference(
     candidates = [tuple(map(int, e)) for e in udg.edges]
 
     best = ev.objective()
-    improved = max_rounds > 0
+    visited = 0
+    improved = True
     while improved:
         improved = False
         order = rng.permutation(len(candidates))
         for idx in order:
+            if (
+                _deadline is not None
+                and not visited & _TIME_CHECK_MASK
+                and time.perf_counter() > _deadline
+            ):
+                improved = False  # out of time: keep the current tree
+                break
+            visited += 1
             a, b = candidates[idx]
             if b in adj[a]:
                 continue

@@ -13,19 +13,15 @@ contiguous slice of ``_order``: every query window is a few **row spans**
 ``(start, end)``, read from a dense start table (or two binary searches of
 ``_cell_ids`` when the cell space is too sparse for one).
 
-Two query tiers share that layout:
-
-- the scalar tier (:meth:`GridIndex.query_radius` / ``query_point``) looks
-  up one disk's row spans — right for a handful of ad-hoc disks;
-- the batch tier (:meth:`GridIndex.query_pairs`, ``count_within`` and
-  ``pairs_within``, plus the interference kernels and the stream bulk
-  path) answers *many* disks through one enumerator,
-  :func:`_row_span_pairs`: row expansion, candidate expansion and the
-  distance predicate are each one vectorized operation over every query
-  at once, chunked on the exact candidate count so peak memory stays
-  bounded regardless of query count. Coordinates are read from cell-sorted
-  copies (``_xs``/``_ys``), so queries taken in CSR order touch memory in
-  order.
+Every query (:meth:`GridIndex.query_pairs`, ``count_within`` and
+``pairs_within``, the one-disk ``query_radius``/``query_point`` wrappers,
+plus the interference kernels and the stream bulk path) runs through one
+window computation, :meth:`GridIndex._row_windows`, and one enumerator,
+:func:`_row_span_pairs`: row expansion, candidate expansion and the
+distance predicate are each one vectorized operation over every query at
+once, chunked on the exact candidate count so peak memory stays bounded
+regardless of query count. Coordinates are read from cell-sorted copies
+(``_xs``/``_ys``), so queries taken in CSR order touch memory in order.
 """
 
 from __future__ import annotations
@@ -163,7 +159,7 @@ class BatchQuery(Protocol):
     batch tier's: ``positions`` is the indexed ``(n, 2)`` float64 array,
     ``query_pairs``/``count_within`` answer many inclusive disk queries
     at once with the ``hypot(dx, dy) <= r`` predicate, bit-identical to
-    per-row scalar queries.
+    the brute-force kernels.
     """
 
     positions: np.ndarray
@@ -275,40 +271,10 @@ class GridIndex:
         )
 
     def query_radius(self, center, radius: float) -> np.ndarray:
-        """Indices of all points within ``radius`` of ``center`` (inclusive)."""
-        radius = float(radius)
-        if not radius >= 0:
-            raise ValueError("radius must be non-negative (and not NaN)")
-        obs.count("gridindex.queries")
-        x, y = np.asarray(center, dtype=np.float64).tolist()
-        # the one-disk form of _row_windows, in Python floats: the same
-        # arithmetic and clamps (clamping before the floor is equivalent)
-        u, v = (y, x) if self._flip else (x, y)
-        (ou, ov), (mu, mv), cell = self._origin, self._top, self._cell
-        u0 = math.floor(min(max((u - radius - ou) / cell, 0.0), mu + 1.0))
-        u1 = math.floor(min(max((u + radius - ou) / cell, -1.0), mu))
-        v0 = math.floor(min(max((v - radius - ov) / cell, 0.0), mv + 1.0))
-        v1 = math.floor(min(max((v + radius - ov) / cell, -1.0), mv))
-        if u1 < u0 or v1 < v0:
-            return np.empty(0, dtype=np.int64)
-        if v1 - v0 >= len(self):
-            t = np.arange(len(self))
-        else:
-            lo = np.arange(v0, v1 + 1) * self._ncols + u0
-            s, e = _row_bounds(
-                self._cell_ids, self._dense_spans(), lo, lo + (u1 - u0 + 1)
-            )
-            t = np.concatenate(
-                [np.arange(a, b) for a, b in zip(s.tolist(), e.tolist())]
-            )
-        # hypot, not squared distance: d*d underflows to 0 for sub-1e-154
-        # gaps (normalized exponential chains reach denormals), which would
-        # classify points as inside disks that exclude them. hypot keeps the
-        # predicate bitwise-identical to the brute-force kernels.
-        d = np.hypot(self._xs[t] - x, self._ys[t] - y)
-        hits = self._order[t[d <= radius]]
-        hits.sort()
-        return hits
+        """Indices of all points within ``radius`` of ``center`` (inclusive),
+        sorted: one :meth:`query_pairs` disk."""
+        center = np.asarray(center, dtype=np.float64).reshape(1, 2)
+        return self.query_pairs(center, float(radius))[1]
 
     def query_point(self, index: int, radius: float) -> np.ndarray:
         """Indices within ``radius`` of point ``index`` (``index`` excluded)."""
@@ -324,6 +290,10 @@ class GridIndex:
         if len(self) == 0 or radii.size == 0:
             return
         for q, t in self._candidates(cx, cy, radii):
+            # hypot, not squared distance: d*d underflows to 0 for sub-1e-154
+            # gaps (normalized exponential chains reach denormals), which
+            # would put points inside disks that exclude them. hypot keeps
+            # the predicate bitwise-identical to the brute-force kernels.
             keep = np.hypot(self._xs[t] - cx[q], self._ys[t] - cy[q]) <= radii[q]
             yield q[keep], t[keep]
 
@@ -331,10 +301,9 @@ class GridIndex:
         """All ``(query, point)`` hit pairs for many disk queries at once.
 
         ``centers`` is ``(m, 2)``; ``radii`` is a scalar or length ``m``
-        (inclusive, same predicate as :meth:`query_radius`). Returns two
-        int64 arrays ``(query_ids, point_ids)`` sorted lexicographically by
-        query then point — the fused equivalent of calling
-        :meth:`query_radius` per row.
+        (inclusive: ``hypot(dx, dy) <= r``; negative or NaN radii raise).
+        Returns two int64 arrays ``(query_ids, point_ids)`` sorted
+        lexicographically by query then point.
         """
         centers = check_positions(centers, name="centers")
         radii = _radii(radii, centers.shape[0])
@@ -353,8 +322,8 @@ class GridIndex:
         """All unordered pairs with distance <= ``radius``; ``(m, 2)`` int64.
 
         Equivalent to :func:`repro.geometry.pairwise_within` but near-linear
-        for bounded-density instances — and, unlike the scalar tier, one
-        fused batch pass (queries in CSR order) instead of a per-point loop.
+        for bounded-density instances: one fused batch pass (queries in CSR
+        order), not a per-point loop.
         """
         n = len(self)
         radii = _radii(radius, n)

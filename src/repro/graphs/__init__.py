@@ -7,7 +7,7 @@ these implementations.
 from repro.graphs.core import Graph
 from repro.graphs.unionfind import DisjointSet
 from repro.graphs.traversal import bfs_order, connected_components, is_connected
-from repro.graphs.mst import kruskal_mst, prim_mst
+from repro.graphs.mst import kruskal_mst
 from repro.graphs.paths import dijkstra, hop_distances
 from repro.graphs.spanner import euclidean_stretch, graph_stretch
 
@@ -18,7 +18,6 @@ __all__ = [
     "connected_components",
     "is_connected",
     "kruskal_mst",
-    "prim_mst",
     "dijkstra",
     "hop_distances",
     "euclidean_stretch",

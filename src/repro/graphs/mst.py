@@ -1,13 +1,16 @@
-"""Minimum spanning tree / forest algorithms (Kruskal and Prim)."""
+"""Minimum spanning trees / forests: Kruskal over :class:`Graph` and the
+Euclidean MST of a point set."""
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.graphs.core import Graph
 from repro.graphs.unionfind import DisjointSet
+from repro.utils import check_edge_array, check_positions
+from repro.utils.validation import edges_from_keys
 
 
 def kruskal_mst(graph: Graph) -> Graph:
@@ -29,68 +32,38 @@ def kruskal_mst(graph: Graph) -> Graph:
     return out
 
 
-def prim_mst(graph: Graph, *, root: int = 0) -> Graph:
-    """Minimum spanning forest via Prim's algorithm with a binary heap.
+def edge_order(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Indices of canonical ``edges`` sorted by ``(weight, lo, hi)``
+    ascending: the one link order (and MST tie-break) of the library."""
+    return np.lexsort((edges[:, 1], edges[:, 0], weights))
 
-    Grows from ``root``, then restarts from the smallest unvisited node of
-    each remaining component so disconnected inputs yield a spanning forest.
-    """
-    if graph.n == 0:
-        return Graph(0)
-    if not (0 <= root < graph.n):
-        raise ValueError("root out of range")
-    out = Graph(graph.n)
-    visited = [False] * graph.n
-    starts = [root] + [v for v in range(graph.n) if v != root]
-    for start in starts:
-        if visited[start]:
-            continue
-        visited[start] = True
-        heap: list[tuple[float, int, int]] = []
-        for v in graph.neighbors(start):
-            heapq.heappush(heap, (graph.weight(start, v), start, v))
-        while heap:
-            w, u, v = heapq.heappop(heap)
-            if visited[v]:
-                continue
-            visited[v] = True
-            out.add_edge(u, v, w)
-            for x in graph.neighbors(v):
-                if not visited[x]:
-                    heapq.heappush(heap, (graph.weight(v, x), v, x))
-    return out
+
+def edge_ranks(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Position of every edge in :func:`edge_order` (0 = best)."""
+    return np.argsort(edge_order(weights, edges))
 
 
 def euclidean_mst_edges(positions, candidate_edges=None) -> np.ndarray:
     """Edge array of the Euclidean MST (forest) of a point set.
 
     ``candidate_edges`` restricts the MST to a subgraph's edges (e.g. the
-    unit disk graph); by default the complete graph is used. Returns an
-    ``(m, 2)`` canonical int64 array.
+    unit disk graph); by default the complete graph is used. Ties are
+    broken by :func:`edge_order`, so the forest is unique: one scipy
+    minimum-spanning-forest call over the ``rank + 1`` weights (weight 0
+    reads as "no edge"). Returns an ``(m, 2)`` canonical int64 array.
     """
-    from repro.geometry.points import distance_matrix
-    from repro.utils import check_positions
-
     pos = check_positions(positions)
     n = pos.shape[0]
     if candidate_edges is None:
-        ii, jj = np.triu_indices(n, k=1)
-        cand = np.stack([ii, jj], axis=1)
+        cand = np.stack(np.triu_indices(n, k=1), axis=1)
     else:
-        cand = np.asarray(candidate_edges, dtype=np.int64)
-        if cand.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-    d = pos[cand[:, 0]] - pos[cand[:, 1]]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    order = np.argsort(lengths, kind="stable")
-    ds = DisjointSet(n)
-    rows = []
-    for k in order:
-        u, v = int(cand[k, 0]), int(cand[k, 1])
-        if ds.union(u, v):
-            rows.append((min(u, v), max(u, v)))
-            if ds.n_components == 1:
-                break
-    if not rows:
+        cand = check_edge_array(candidate_edges, n, name="candidate_edges")
+    if cand.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return np.array(sorted(rows), dtype=np.int64)
+    d = pos[cand[:, 0]] - pos[cand[:, 1]]
+    rank = edge_ranks(np.hypot(d[:, 0], d[:, 1]), cand)
+    graph = coo_matrix((rank + 1.0, (cand[:, 0], cand[:, 1])), shape=(n, n))
+    forest = minimum_spanning_tree(graph.tocsr()).tocoo()
+    keys = np.minimum(forest.row, forest.col).astype(np.int64) * n
+    keys += np.maximum(forest.row, forest.col)
+    return edges_from_keys(np.sort(keys), n)

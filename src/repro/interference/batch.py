@@ -1,8 +1,8 @@
 """Fused batch interference kernel — the ``method="batch"`` tier.
 
-The scalar grid kernel answers one disk query per Python iteration; at
-n >= 10^4 the per-query interpreter overhead dominates the arithmetic.
-This module answers *all* queries of an instance — or of a whole
+Rather than one disk query per Python iteration (where, at n >= 10^4,
+the per-query interpreter overhead dominates the arithmetic), this module
+answers *all* queries of an instance — or of a whole
 micro-batch of instances — through the row-span enumerator of
 :mod:`repro.geometry.spatial`: each node's query window is a few
 ``(start, end)`` runs of the CSR cell layout, queries are walked in CSR
@@ -12,8 +12,8 @@ candidate pairs. :func:`node_interference_many` namespaces the cell ids of
 many instances into one layout, so a micro-batch is one enumerator pass.
 
 Equivalence contract: the predicate is byte-for-byte the brute kernel's
-(``hypot(dx, dy) <= r_u * (1 + rtol) + atol``), so ``batch == grid ==
-brute == naive`` bit-for-bit on every instance family (asserted by the
+(``hypot(dx, dy) <= r_u * (1 + rtol) + atol``), so ``batch == brute ==
+naive`` bit-for-bit on every instance family (asserted by the
 property suites).
 
 Backends

@@ -8,8 +8,9 @@ radius changes in O(n) per update, in both directions (growth *and*
 shrinkage, unlike the one-shot bookkeeping inside ``a_exp``).
 
 The tracker is deliberately radius-centric: per the model reduction used
-throughout this library (see ``repro.exact``), interference depends on the
-edge set only through each node's farthest-neighbour radius.
+throughout this library (see :mod:`repro.opt.candidates`), interference
+depends on the edge set only through each node's farthest-neighbour
+radius.
 """
 
 from __future__ import annotations

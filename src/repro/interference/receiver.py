@@ -15,8 +15,7 @@ the exponential chain, where a radius equals a node distance exactly) are
 classified consistently.
 
 Kernels follow the HPC guides: ``method="brute"`` is a blocked, fully
-vectorized O(n^2) pass; ``method="grid"`` probes the spatial index one
-node at a time; ``method="batch"`` (:mod:`repro.interference.batch`)
+vectorized O(n^2) pass; ``method="batch"`` (:mod:`repro.interference.batch`)
 answers every disk query in fused array passes over the grid's CSR
 layout — the default above :data:`AUTO_BATCH_MIN_N` nodes;
 ``node_interference_naive`` is the pure-Python reference used in tests
@@ -29,6 +28,7 @@ distance exactly zero, in every kernel.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -51,12 +51,6 @@ ATOL = 0.0
 #: per chunk at n = 10^5, defeating the chunking's purpose.
 _CHUNK = 1024
 
-#: The scalar-grid / brute crossover (``method="grid"`` is still the
-#: right tier for incremental one-disk-at-a-time workloads; ``auto`` now
-#: prefers the batch tier, which is faster than scalar grid at every n).
-#: Kept calibrated for callers that pick ``method="grid"`` explicitly.
-AUTO_GRID_MIN_N = 1024
-
 #: Fall back to the brute kernel when the average query disk's bounding
 #: box covers more than this fraction of the instance extent — the grid
 #: cannot prune such workloads and only adds per-cell overhead on top of
@@ -73,26 +67,32 @@ def node_interference(
 ) -> np.ndarray:
     """Per-node receiver-centric interference vector ``I(v)`` (int64).
 
-    ``method`` is ``"brute"`` (vectorized O(n^2), blocked), ``"grid"``
-    (spatial index, scalar per-node queries), ``"batch"`` (fused
-    array-at-a-time queries over the grid CSR layout, optional numba
-    backend) or ``"auto"`` (brute below ``AUTO_BATCH_MIN_N`` nodes, batch
-    above; the grid-backed kernels degrade gracefully to brute on
-    instances they cannot prune).
+    ``method`` is ``"brute"`` (vectorized O(n^2), blocked), ``"batch"``
+    (fused array-at-a-time queries over the grid CSR layout, optional
+    numba backend) or ``"auto"`` (brute below ``AUTO_BATCH_MIN_N`` nodes,
+    batch above; the batch kernel degrades gracefully to brute on
+    instances the grid cannot prune). ``"grid"`` is a deprecated
+    spelling of ``"batch"`` (same vector), removed in 3.0.0.
     """
+    if method == "grid":
+        warnings.warn(
+            'method="grid" is deprecated (removed in 3.0.0); it runs the '
+            'batch kernel, use method="batch"',
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        method = "batch"
     n = topology.n
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if method == "auto":
         method = "batch" if n > AUTO_BATCH_MIN_N else "brute"
-    if method not in ("brute", "grid", "batch"):
+    if method not in ("brute", "batch"):
         raise ValueError(f"unknown method {method!r}")
     with obs.span("interference.node", n=n, method=method):
         obs.count(f"interference.method.{method}")
         if method == "brute":
             return _interference_brute(topology, rtol, atol)
-        if method == "grid":
-            return _interference_grid(topology, rtol, atol)
         return _interference_batch(topology, rtol, atol)
 
 
@@ -127,13 +127,13 @@ def _grid_cell_size(
     r_eff: np.ndarray,
     n: int,
     *,
-    counter_prefix: str = "interference.grid",
+    counter_prefix: str = "interference.batch",
 ) -> float | None:
     """Cell size for the grid-backed kernels, or ``None`` when the grid
     cannot prune the instance and the caller should use brute instead.
 
-    Shared by the scalar grid kernel, the batch kernel and the fused
-    multi-instance kernel so every tier makes identical fallback choices.
+    Shared by the batch kernel and the fused multi-instance kernel so both
+    make identical fallback choices.
     """
     positive = radii[radii > 0]
     spans = [float(np.ptp(pos[:, 0])), float(np.ptp(pos[:, 1]))]
@@ -161,34 +161,12 @@ def _grid_cell_size(
     return cell
 
 
-def _interference_grid(topology: Topology, rtol: float, atol: float) -> np.ndarray:
-    pos = topology.positions
-    radii = topology.radii
-    r_eff = radii * (1.0 + rtol) + atol
-    n = topology.n
-    cell = _grid_cell_size(pos, radii, r_eff, n)
-    if cell is None:
-        return _interference_brute(topology, rtol, atol)
-    index = GridIndex(pos, cell_size=cell)
-    counts = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        # NB: zero-radius nodes are still transmitters — they cover nodes
-        # at distance exactly 0 (coincident), the same ``d <= r_eff``
-        # predicate every other kernel applies. Skipping them made grid
-        # disagree with brute/naive on coincident-node instances.
-        hits = index.query_point(u, float(r_eff[u]))
-        counts[hits] += 1
-    return counts
-
-
 def _interference_batch(topology: Topology, rtol: float, atol: float) -> np.ndarray:
     pos = topology.positions
     radii = topology.radii
     r_eff = radii * (1.0 + rtol) + atol
     n = topology.n
-    cell = _grid_cell_size(
-        pos, radii, r_eff, n, counter_prefix="interference.batch"
-    )
+    cell = _grid_cell_size(pos, radii, r_eff, n)
     if cell is None:
         return _interference_brute(topology, rtol, atol)
     index = GridIndex(pos, cell_size=cell)

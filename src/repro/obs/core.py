@@ -16,7 +16,7 @@ Design constraints (see ``docs/API.md``):
   (module state is per-interpreter), which is the semantics the sweep
   runner wants — parent-side spans describe parent-side work.
 
-Counter names are dotted paths (``interference.method.grid``,
+Counter names are dotted paths (``interference.method.batch``,
 ``protocol.messages``, ``runner.cache.hit``); span names follow the same
 convention. Both are free-form — the registry does not enforce a schema —
 but the instrumented layers stick to the families documented in

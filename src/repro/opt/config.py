@@ -16,8 +16,8 @@ from dataclasses import dataclass
 #: measured interference of the witness topology.
 DEFAULT_TOLERANCE = 1e-9
 
-#: Search expansions, or annealing proposals, between wall-clock budget
-#: checks.
+#: Search expansions, annealing proposals or hill-climb candidate edges
+#: between wall-clock budget checks.
 _TIME_CHECK_MASK = 0xFF
 
 
@@ -30,11 +30,11 @@ class OptConfig:
     time_budget_s:
         Wall-clock budget for the whole solve, counted from entry: the
         bounds and the heuristic upper bound use it up too. ``None`` means
-        unlimited. It is checked every 256 annealing proposals, before
-        each decision search and every 256 expansions within one; only
-        the heuristic's final hill-climb can overrun it. On
-        exhaustion the solver returns the best *certified bracket* found
-        so far (status ``"budget"``) instead of raising.
+        unlimited. It is checked every 256 annealing proposals, every
+        256 hill-climb candidate edges, before each decision search and
+        every 256 expansions within one. On exhaustion the solver
+        returns the best *certified bracket* found so far (status
+        ``"budget"``) instead of raising.
     node_budget:
         Maximum number of search-tree nodes to expand (across all
         interference targets ``k``). ``None`` means unlimited. The

@@ -57,7 +57,7 @@ def heuristic_opt(
     interference. Raises ``ValueError`` when the UDG is disconnected.
     ``_deadline`` (a ``time.perf_counter()`` reading, set by
     :func:`repro.opt.solve_opt` from its time budget) cuts the annealing
-    walk short; the hill-climb then starts from its best tree so far.
+    walk and the hill-climb short; each stops with a connected tree.
     """
     from repro.model.udg import unit_disk_graph
 
@@ -71,7 +71,9 @@ def heuristic_opt(
         raise ValueError("the unit disk graph is disconnected; no feasible topology")
     with obs.span("opt.heuristic", n=n):
         annealed = _anneal(udg, seed=cfg.seed, deadline=_deadline)
-        polished = reduce_interference(udg, start=annealed, seed=cfg.seed)
+        polished = reduce_interference(
+            udg, start=annealed, seed=cfg.seed, _deadline=_deadline
+        )
     best = min(
         (polished, annealed),
         key=lambda t: int(graph_interference(t)),

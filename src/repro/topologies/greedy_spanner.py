@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
+from repro.graphs.mst import edge_order
 from repro.model.topology import Topology
 from repro.topologies.base import register
-from repro.topologies.ranking import edge_order
 
 
 def _spanned(adj: list, source: int, target: int, bound: float) -> bool:

@@ -13,19 +13,19 @@ the receiver-centric measure.
   ``t``-spanner.
 
 Coverage ties go by the ``(length, lo, hi)`` rank of
-:mod:`repro.topologies.ranking`: O(m log m) after the O(m·n) coverage scan.
+:func:`repro.graphs.mst.edge_ranks`: O(m log m) after the O(m·n) coverage scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.mst import edge_ranks
 from repro.graphs.unionfind import DisjointSet
 from repro.interference.sender import edge_coverage
 from repro.model.topology import Topology
 from repro.topologies.base import register
 from repro.topologies.greedy_spanner import spanner_edges
-from repro.topologies.ranking import edge_ranks
 
 
 def _coverage_order(udg: Topology) -> np.ndarray:

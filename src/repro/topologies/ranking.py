@@ -1,34 +1,25 @@
 """The one link order of the UDG-subgraph baselines, as arrays.
 
 Canonical edges are totally ordered by ``(weight, lo, hi)``: the length by
-default, a link quality for XTC. :func:`edge_ranks` turns that rule into
-one integer rank per edge (one ``lexsort``, O(m log m)). A
-:class:`NeighborTable` lists both orientations of every edge sorted by
-``(src, rank)``; for lengths that is ``(src, dist, dst)``, each node's
-neighbours nearest first with ties to the smaller index — the order NNF,
-kNN, Yao, CBTC, XTC and LMST read.
+default, a link quality for XTC. :func:`repro.graphs.mst.edge_ranks` (the
+Euclidean MST's tie-break too) turns that rule into one integer rank per
+edge (one ``lexsort``, O(m log m)). A :class:`NeighborTable` lists both
+orientations of every edge sorted by ``(src, rank)``; for lengths that is
+``(src, dist, dst)``, each node's neighbours nearest first with ties to
+the smaller index — the order NNF, kNN, Yao, CBTC, XTC and LMST read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.mst import edge_ranks
 from repro.model.topology import Topology
 from repro.utils.validation import edge_keys
 
 #: Witness pairs per block of :meth:`NeighborTable.triangles`, on average
 #: (about 15 MB of transient int64 arrays).
 PAIR_BLOCK = 1 << 18
-
-
-def edge_order(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Indices of ``edges`` sorted by ``(weight, lo, hi)`` ascending."""
-    return np.lexsort((edges[:, 1], edges[:, 0], weights))
-
-
-def edge_ranks(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Position of every edge in :func:`edge_order` (0 = best)."""
-    return np.argsort(edge_order(weights, edges))
 
 
 def run_heads(group: np.ndarray, k: int) -> np.ndarray:

@@ -1,45 +1,62 @@
-"""Tests for the exact branch-and-bound solver."""
+"""Tests for the exact branch-and-bound solver, :func:`repro.opt.solve_opt`:
+its decision procedure, known optima and guardrails."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.exact.radii_search import (
-    MAX_NODES,
-    feasible_with_interference,
-    minimum_interference,
-)
 from repro.geometry.generators import (
     exponential_chain,
     random_uniform_square,
     uniform_chain,
 )
+from repro.geometry.points import distance_matrix
 from repro.interference.receiver import graph_interference
+from repro.opt import SOLVER_MAX_NODES, OptConfig, solve_opt
+from repro.opt.solver import _Budget, _DecisionSearch
+
+
+def _optimum(pos, **kwargs):
+    outcome = solve_opt(pos, **kwargs)
+    assert outcome.status == "optimal"
+    return outcome.value, outcome.topology
+
+
+def _decide(pos, k):
+    """The solver's decision procedure alone: a connected radius vector
+    with coverage <= ``k``, or ``None``."""
+    pos = np.asarray(pos, dtype=np.float64)
+    cfg = OptConfig()
+    search = _DecisionSearch(
+        pos, distance_matrix(pos), unit=1.0, tolerance=cfg.tolerance, stats=Counter()
+    )
+    return search.feasible(k, _Budget(cfg))
 
 
 class TestDecisionProcedure:
     def test_infeasible_below_optimum(self):
         pos = exponential_chain(8)  # OPT = 4
-        assert feasible_with_interference(pos, 3) is None
+        assert _decide(pos, 3) is None
 
     def test_feasible_at_optimum(self):
-        pos = exponential_chain(8)
-        radii = feasible_with_interference(pos, 4)
+        radii = _decide(exponential_chain(8), 4)
         assert radii is not None
         assert radii.shape == (8,)
 
     def test_unreachable_node(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0], [10.0, 0.0]])
-        assert feasible_with_interference(pos, 5, unit=1.0) is None
+        with pytest.raises(ValueError, match="reach anybody"):
+            _decide(pos, 5)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="limited"):
-            feasible_with_interference(np.zeros((MAX_NODES + 1, 2)), 1)
+            solve_opt(np.zeros((SOLVER_MAX_NODES + 1, 2)))
 
     def test_trivial(self):
-        out = feasible_with_interference(np.array([[0.0, 0.0]]), 0)
-        assert out is not None and out.tolist() == [0.0]
+        outcome = solve_opt(np.array([[0.0, 0.0]]))
+        assert outcome.value == 0 and outcome.certificate.radii == (0.0,)
 
 
 class TestMinimumInterference:
@@ -50,26 +67,26 @@ class TestMinimumInterference:
             uniform_chain(7, spacing=0.1),
             random_uniform_square(7, side=0.8, seed=4),
         ):
-            opt, topo = minimum_interference(pos)
+            opt, topo = _optimum(pos)
             assert graph_interference(topo) == opt
             assert topo.is_connected()
 
     def test_theorem52_floor(self):
         """OPT >= sqrt(n) on the exponential chain (Theorem 5.2)."""
         for n in (4, 6, 8, 9):
-            opt, _ = minimum_interference(exponential_chain(n))
+            opt, _ = _optimum(exponential_chain(n))
             assert opt >= math.sqrt(n) - 1e-9
 
     def test_uniform_chain_optimum_is_two(self):
-        opt, _ = minimum_interference(uniform_chain(8, spacing=0.1))
+        opt, _ = _optimum(uniform_chain(8, spacing=0.1))
         assert opt == 2
 
     def test_two_nodes(self):
-        opt, topo = minimum_interference(np.array([[0.0, 0.0], [0.4, 0.0]]))
+        opt, topo = _optimum(np.array([[0.0, 0.0], [0.4, 0.0]]))
         assert opt == 1 and topo.has_edge(0, 1)
 
     def test_single_node(self):
-        opt, topo = minimum_interference(np.array([[0.0, 0.0]]))
+        opt, topo = _optimum(np.array([[0.0, 0.0]]))
         assert opt == 0 and topo.n_edges == 0
 
     def test_no_worse_than_heuristics(self):
@@ -79,18 +96,18 @@ class TestMinimumInterference:
         from repro.highway.linear import linear_chain
 
         pos = exponential_chain(8)
-        opt, _ = minimum_interference(pos)
+        opt, _ = _optimum(pos)
         for topo in (a_exp(pos), a_apx(pos), linear_chain(pos)):
             assert graph_interference(topo) >= opt
 
     def test_disconnected_udg_raises(self):
         pos = np.array([[0.0, 0.0], [5.0, 0.0]])
-        with pytest.raises(RuntimeError, match="disk graph connected"):
-            minimum_interference(pos, unit=1.0)
+        with pytest.raises(ValueError, match="never connectable"):
+            solve_opt(pos, unit=1.0)
 
     def test_unit_restriction_changes_optimum(self):
         """Tighter unit range can force higher interference."""
         pos = uniform_chain(6, spacing=0.5)
-        opt_wide, _ = minimum_interference(pos, unit=10.0)
-        opt_tight, _ = minimum_interference(pos, unit=0.5)
+        opt_wide, _ = _optimum(pos, unit=10.0)
+        opt_tight, _ = _optimum(pos, unit=0.5)
         assert opt_wide <= opt_tight

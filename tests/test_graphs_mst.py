@@ -1,11 +1,11 @@
-"""Tests for Kruskal / Prim / Euclidean MST, cross-checked against networkx."""
+"""Tests for Kruskal and the Euclidean MST, cross-checked against networkx."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graphs.core import Graph
-from repro.graphs.mst import euclidean_mst_edges, kruskal_mst, prim_mst
+from repro.graphs.mst import euclidean_mst_edges, kruskal_mst
 from repro.graphs.traversal import is_connected
 
 
@@ -38,17 +38,10 @@ class TestMst:
         )
         assert ours == pytest.approx(theirs)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_prim_matches_kruskal_weight(self, seed):
-        g, _ = _weighted_random(18, 0.3, seed)
-        assert _total(prim_mst(g)) == pytest.approx(_total(kruskal_mst(g)))
-
     def test_spanning_forest_on_disconnected(self):
         g = Graph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0)])
         mst = kruskal_mst(g)
         assert mst.n_edges == 3  # spanning forest: n - #components
-        mst_p = prim_mst(g)
-        assert mst_p.n_edges == 3
 
     def test_tree_edge_count_when_connected(self):
         g, nxg = _weighted_random(15, 0.5, 0)
@@ -57,13 +50,8 @@ class TestMst:
         assert mst.n_edges == 14
         assert is_connected(mst)
 
-    def test_prim_bad_root(self):
-        with pytest.raises(ValueError):
-            prim_mst(Graph(3), root=5)
-
     def test_empty_graph(self):
         assert kruskal_mst(Graph(0)).n == 0
-        assert prim_mst(Graph(0)).n == 0
 
 
 class TestEuclideanMst:
@@ -101,6 +89,19 @@ class TestEuclideanMst:
         for u in range(len(random_positions)):
             v = int(np.argmin(d[u]))
             assert (min(u, v), max(u, v)) in edges
+
+    def test_ties_break_by_length_then_index(self):
+        # the four sides of a unit square tie: the (length, lo, hi) order
+        # keeps the same three whatever the candidates' order, orientation
+        # or repetition
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        want = [[0, 1], [0, 2], [1, 3]]
+        assert euclidean_mst_edges(pos).tolist() == want
+        for cand in (
+            [[0, 1], [0, 2], [1, 3], [2, 3]],
+            [[3, 2], [3, 1], [2, 0], [1, 0], [1, 0]],
+        ):
+            assert euclidean_mst_edges(pos, candidate_edges=cand).tolist() == want
 
     def test_empty_candidates(self, random_positions):
         out = euclidean_mst_edges(random_positions, candidate_edges=np.empty((0, 2)))

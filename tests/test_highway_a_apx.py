@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from repro.exact.radii_search import minimum_interference
 from repro.geometry.generators import exponential_chain, random_highway, uniform_chain
 from repro.highway.a_apx import ApxInfo, a_apx
 from repro.interference.receiver import graph_interference
 from repro.model.udg import unit_disk_graph
+from repro.opt import solve_opt
+
+
+def _opt(pos) -> int:
+    outcome = solve_opt(pos)
+    assert outcome.status == "optimal"
+    return outcome.value
 
 
 class TestBranchSelection:
@@ -67,7 +73,7 @@ class TestGuarantees:
             random_highway(8, max_gap=0.1, seed=2),
         ):
             topo, info = a_apx(pos, return_info=True)
-            opt, _ = minimum_interference(pos)
+            opt = _opt(pos)
             ratio = graph_interference(topo) / opt
             assert ratio <= 3.0 * max(info.delta, 1) ** 0.25
 
@@ -79,5 +85,5 @@ class TestGuarantees:
             uniform_chain(9, spacing=0.05),
         ):
             _, info = a_apx(pos, return_info=True)
-            opt, _ = minimum_interference(pos)
+            opt = _opt(pos)
             assert opt >= info.lower_bound - 1e-9

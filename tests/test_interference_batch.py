@@ -2,7 +2,7 @@
 
 The contract under test: ``method="batch"`` (and the fused
 multi-instance :func:`node_interference_many`) agree **bit-for-bit** with
-brute/grid/naive on every instance family, the ``auto`` dispatcher
+brute/naive on every instance family, the ``auto`` dispatcher
 crosses over to the batch tier, and the optional numba backend degrades
 to pure numpy without changing a single count.
 """
@@ -59,9 +59,6 @@ class TestBatchEquivalence:
             want = node_interference(topo, method="brute", **tol)
             np.testing.assert_array_equal(
                 node_interference(topo, method="batch", **tol), want
-            )
-            np.testing.assert_array_equal(
-                node_interference(topo, method="grid", **tol), want
             )
             if topo.n <= 150:
                 np.testing.assert_array_equal(
@@ -146,9 +143,6 @@ class TestWideEquivalence:
             np.testing.assert_array_equal(
                 node_interference(topo, method="batch", **tol), want
             )
-            np.testing.assert_array_equal(
-                node_interference(topo, method="grid", **tol), want
-            )
             if topo.n <= 2 * AUTO_BATCH_MIN_N:
                 np.testing.assert_array_equal(
                     node_interference_naive(topo, **tol), want
@@ -159,7 +153,7 @@ class TestWideEquivalence:
         topo = _boundary_gadgets(aligned=aligned)
         assert topo.n > AUTO_BATCH_MIN_N
         want = node_interference_naive(topo, **tol)
-        for method in ("brute", "batch", "grid"):
+        for method in ("brute", "batch"):
             got = node_interference(topo, method=method, **tol)
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(node_interference_many([topo], **tol)[0], want)

@@ -1,10 +1,11 @@
 """Randomized property tests: all interference kernels agree everywhere.
 
-Compares ``node_interference(method="brute")``, ``method="grid"`` and the
+Compares ``node_interference(method="brute")``, ``method="batch"`` and the
 pure-Python ``node_interference_naive`` oracle across random uniform,
 clustered and adversarial (exponential chain, two-chain Omega(n))
 instances, under both the default and a loose tolerance setting — the
-regression net for the grid kernel's cell-size clamp and brute fallback.
+regression net for the grid-backed kernels' cell-size clamp and brute
+fallback.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.interference.batch import (
 )
 from repro.interference.receiver import (
     ATOL,
-    AUTO_GRID_MIN_N,
+    AUTO_BATCH_MIN_N,
     RTOL,
     _grid_cell_size,
     node_interference,
@@ -46,10 +47,8 @@ TOLERANCES = [
 
 def _assert_kernels_agree(topology, tol):
     brute = node_interference(topology, method="brute", **tol)
-    grid = node_interference(topology, method="grid", **tol)
     batch = node_interference(topology, method="batch", **tol)
     naive = node_interference_naive(topology, **tol)
-    np.testing.assert_array_equal(grid, brute)
     np.testing.assert_array_equal(batch, brute)
     np.testing.assert_array_equal(brute, naive)
 
@@ -95,8 +94,8 @@ class TestKernelsAgree:
         for n in (8, 64, 200, 1024):
             topology = linear_chain(exponential_chain(n))
             brute = node_interference(topology, method="brute", **tol)
-            grid = node_interference(topology, method="grid", **tol)
-            np.testing.assert_array_equal(grid, brute)
+            batch = node_interference(topology, method="batch", **tol)
+            np.testing.assert_array_equal(batch, brute)
             if n <= 200:  # keep the O(n^2) Python oracle affordable
                 np.testing.assert_array_equal(
                     brute, node_interference_naive(topology, **tol)
@@ -144,7 +143,7 @@ class TestKernelsAgree:
     def test_coincident_zero_radius_nodes(self, tol):
         """Regression: the grid kernel used to skip zero-radius
         transmitters, but a zero-radius disk still covers nodes at
-        distance exactly zero — brute/naive count them, grid must too."""
+        distance exactly zero — brute/naive count them, batch must too."""
         # three coincident isolated nodes (radius 0) plus a connected far
         # pair, so the instance has positive radii and a real span (the
         # grid path stays active rather than falling back to brute)
@@ -154,7 +153,7 @@ class TestKernelsAgree:
         topology = Topology(pos, [(3, 4)])
         assert topology.radii[0] == 0.0
         _assert_kernels_agree(topology, tol)
-        vec = node_interference(topology, method="grid", **tol)
+        vec = node_interference(topology, method="batch", **tol)
         # each coincident zero-radius node is covered by the other two
         np.testing.assert_array_equal(vec, [2, 2, 2, 1, 1])
 
@@ -169,8 +168,8 @@ class TestKernelsAgree:
 
 class TestAutoCrossover:
     def test_auto_constant_exists_and_is_sane(self):
-        assert isinstance(AUTO_GRID_MIN_N, int)
-        assert 100 <= AUTO_GRID_MIN_N <= 10_000
+        assert isinstance(AUTO_BATCH_MIN_N, int)
+        assert 100 <= AUTO_BATCH_MIN_N <= 10_000
 
     def test_auto_matches_explicit_methods(self):
         pos = random_udg_connected(50, side=3.0, seed=9)

@@ -74,21 +74,22 @@ class TestKernels:
         )
 
     def test_grid_matches_brute(self, connected_udg):
+        # method="grid" is the deprecated spelling of "batch": it warns and
+        # returns the batch vector bit for bit
         from repro.topologies import build
 
         for name in ("emst", "rng", "knn3"):
             t = build(name, connected_udg)
-            np.testing.assert_array_equal(
-                node_interference(t, method="grid"),
-                node_interference(t, method="brute"),
-            )
+            with pytest.warns(DeprecationWarning, match="batch"):
+                grid = node_interference(t, method="grid")
+            np.testing.assert_array_equal(grid, node_interference(t, method="batch"))
+            np.testing.assert_array_equal(grid, node_interference(t, method="brute"))
 
     def test_grid_matches_brute_on_chain(self):
         t = linear_chain(exponential_chain(30))
-        np.testing.assert_array_equal(
-            node_interference(t, method="grid"),
-            node_interference(t, method="brute"),
-        )
+        with pytest.warns(DeprecationWarning):
+            grid = graph_interference(t, method="grid")
+        assert grid == graph_interference(t, method="brute")
 
     def test_unknown_method(self, path_topology):
         with pytest.raises(ValueError):

@@ -36,10 +36,10 @@ class TestKernelInstrumentation:
         topo = build("emst", udg)
         with obs.capture():
             node_interference(topo, method="brute")
-            node_interference(topo, method="grid")
+            node_interference(topo, method="batch")
         counters = obs.counters()
         assert counters["interference.method.brute"] == 1
-        assert counters["interference.method.grid"] == 1
+        assert counters["interference.method.batch"] == 1
         names = [s.name for s, _ in obs.snapshot().iter_spans()]
         assert names.count("interference.node") == 2
         spans = obs.snapshot().spans
@@ -51,15 +51,17 @@ class TestKernelInstrumentation:
         with obs.capture():
             index.query_radius(udg.positions[0], 1.0)
             index.query_point(3, 0.5)
-        assert obs.counters()["gridindex.queries"] == 2
+            index.query_pairs(udg.positions[:5], 0.5)
+        # the one-disk queries are single-row batch queries
+        assert obs.counters()["gridindex.batch_queries"] == 7
 
     def test_grid_fallback_counter(self):
         # all radii span the whole extent: coverage fallback must trigger
         pos = np.linspace(0.0, 1.0, 8)[:, None] * [1.0, 0.0]
         topo = unit_disk_graph(pos, unit=2.0)
         with obs.capture():
-            node_interference(topo, method="grid")
-        assert obs.counters()["interference.grid.fallback_coverage"] == 1
+            node_interference(topo, method="batch")
+        assert obs.counters()["interference.batch.fallback_coverage"] == 1
 
     def test_tracker_update_counter(self, udg):
         with obs.capture():

@@ -459,9 +459,12 @@ class TestHeuristics:
     @pytest.mark.parametrize("name", sorted(HEURISTIC_CASES))
     @pytest.mark.parametrize("max_rounds", [0, 1, 30])
     def test_reduce_interference_matches_reference(self, name, max_rounds):
+        # every max_rounds >= 1 ran to the same fixed point; 0 skipped the
+        # search, which a deadline already passed now does
         pos, unit = HEURISTIC_CASES[name]
         udg = unit_disk_graph(pos, unit=unit)
-        new = reduce_interference(udg, seed=2, max_rounds=max_rounds)
+        spent = {"_deadline": 0.0} if max_rounds == 0 else {}
+        new = reduce_interference(udg, seed=2, **spent)
         ref = ref_reduce_interference(udg, seed=2, max_rounds=max_rounds)
         assert np.array_equal(new.edges, ref.edges)
 
@@ -522,6 +525,11 @@ def _ref_anneal_no_deadline(udg, *, seed, deadline):
     return ref_anneal(udg, seed=seed)
 
 
+def _ref_reduce_no_deadline(udg, start=None, *, seed, _deadline):
+    assert _deadline is None
+    return ref_reduce_interference(udg, start=start, seed=seed)
+
+
 @pytest.mark.parametrize("name", sorted(SOLVE_CASES))
 def test_solve_opt_certificate_matches_reference(name, monkeypatch):
     pos = SOLVE_CASES[name]
@@ -529,7 +537,7 @@ def test_solve_opt_certificate_matches_reference(name, monkeypatch):
     new = solve_opt(pos, config=cfg)
     monkeypatch.setattr(solver, "_DecisionSearch", RefDecisionSearch)
     monkeypatch.setattr(heuristic, "_anneal", _ref_anneal_no_deadline)
-    monkeypatch.setattr(heuristic, "reduce_interference", ref_reduce_interference)
+    monkeypatch.setattr(heuristic, "reduce_interference", _ref_reduce_no_deadline)
     ref = solve_opt(pos, config=cfg)
     assert _without_wall(new.certificate) == _without_wall(ref.certificate)
     assert (new.value, new.lower_bound, new.status) == (

@@ -168,6 +168,38 @@ class TestHeuristic:
         for u, v in tree.edges:
             assert udg.has_edge(int(u), int(v))
 
+    def test_deadline_stops_the_hill_climb_every_256_candidates(self, monkeypatch):
+        # a fake clock that passes the deadline on its second reading: the
+        # hill-climb reads it before candidate edges 0 and 256 only, and
+        # stops there with its current tree, a spanning tree of the UDG
+        from repro.extensions import local_search
+        from repro.model.udg import unit_disk_graph
+
+        readings = iter(range(10))
+        monkeypatch.setattr(
+            local_search,
+            "time",
+            SimpleNamespace(perf_counter=lambda: next(readings)),
+        )
+        udg = unit_disk_graph(random_udg_connected(60, side=3.0, seed=1))
+        assert udg.n_edges > 256
+        tree = local_search.reduce_interference(udg, seed=0, _deadline=0.5)
+        assert next(readings) == 2
+        assert tree.is_connected() and tree.n_edges == udg.n - 1
+        assert tree.is_subgraph_of(udg)
+
+    def test_spent_deadline_skips_the_hill_climb(self):
+        # past the deadline neither the walk nor the hill-climb moves: the
+        # witness is the UDG's Euclidean MST (the linear chain, I = n - 2)
+        from repro.model.udg import unit_disk_graph
+        from repro.topologies import build
+
+        pos = exponential_chain(20)
+        value, topo = heuristic_opt(pos, _deadline=0.0)
+        emst = build("emst", unit_disk_graph(pos))
+        assert topo == emst and value == graph_interference(emst) == 18
+        assert heuristic_opt(pos)[0] < value
+
     def test_unreached_deadline_changes_nothing(self):
         from repro.model.udg import unit_disk_graph
         from repro.opt.heuristic import _anneal

@@ -71,10 +71,12 @@ class TestSection51:
             assert math.sqrt(n) - 1 <= ival <= 1.25 * math.sqrt(2 * n)
 
     def test_exact_optimum_bracketed(self):
-        from repro.exact.radii_search import minimum_interference
+        from repro.opt import solve_opt
 
         for n in (5, 8, 10):
-            opt, _ = minimum_interference(exponential_chain(n))
+            outcome = solve_opt(exponential_chain(n))
+            assert outcome.status == "optimal"
+            opt = outcome.value
             assert math.sqrt(n) - 1e-9 <= opt
             assert opt <= graph_interference(a_exp(exponential_chain(n)))
 

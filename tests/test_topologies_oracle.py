@@ -26,7 +26,7 @@ from repro.geometry.generators import (
     random_uniform_square,
 )
 from repro.graphs.core import Graph
-from repro.graphs.mst import euclidean_mst_edges, kruskal_mst
+from repro.graphs.mst import kruskal_mst
 from repro.graphs.paths import dijkstra
 from repro.graphs.unionfind import DisjointSet
 from repro.interference.receiver import ATOL, RTOL
@@ -198,7 +198,17 @@ def ref_rng(udg):
 
 
 def ref_emst(udg):
-    return Topology(udg.positions, euclidean_mst_edges(udg.positions, udg.edges))
+    pos, cand = udg.positions, udg.edges
+    d = pos[cand[:, 0]] - pos[cand[:, 1]]
+    ds = DisjointSet(udg.n)
+    rows = []
+    for k in np.argsort(np.hypot(d[:, 0], d[:, 1]), kind="stable"):
+        u, v = int(cand[k, 0]), int(cand[k, 1])
+        if ds.union(u, v):
+            rows.append((min(u, v), max(u, v)))
+            if ds.n_components == 1:
+                break
+    return _out(pos, rows)
 
 
 def ref_delaunay(udg):

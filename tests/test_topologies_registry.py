@@ -185,7 +185,7 @@ class TestInterferenceKwargValidation:
     )
     def test_valid_keywords_accepted(self, fn, udg32):
         a = fn(udg32, method="brute", rtol=1e-9, atol=0.0)
-        b = fn(udg32, method="grid", rtol=1e-9, atol=0.0)
+        b = fn(udg32, method="batch", rtol=1e-9, atol=0.0)
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
     def test_unknown_method_still_valueerror(self, udg32):
