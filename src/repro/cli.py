@@ -268,8 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="micro-batch size cap (1 disables coalescing)",
     )
     serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="max wait for a batch to fill, from the oldest queued request",
+        "--linger-ms", type=float, default=0.0,
+        help="deprecated, removed in 3.0.0 (dispatch is work-conserving): "
+        "a positive value holds each batch open this long for it to fill",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=256,

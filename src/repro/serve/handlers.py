@@ -43,6 +43,7 @@ from repro.interference.receiver import (
 )
 from repro.interference.sender import sender_interference
 from repro.model.udg import unit_disk_graph
+from repro.serve.protocol import kernel_method
 
 #: Maximum instance size a single serving request may describe. Keeps one
 #: request from monopolizing a worker; larger studies belong in sweeps.
@@ -151,10 +152,16 @@ def _prepare_interference(params: dict):
         )
     method = None
     if measure != "sender":
-        method = params.get("method", "auto")
-        if method not in ("auto", "brute", "grid", "batch"):
-            raise ValueError("'method' must be auto, brute, grid or batch")
+        method = _kernel_method(params)
     return topo, algorithm, measure, method
+
+
+def _kernel_method(params: dict) -> str:
+    """Validated :func:`~repro.serve.protocol.kernel_method` of a request."""
+    method = kernel_method(params)
+    if method not in ("auto", "brute", "batch"):
+        raise ValueError("'method' must be auto, brute, grid or batch")
+    return method
 
 
 def _interference_result(topo, algorithm, measure, value) -> dict:
@@ -275,9 +282,7 @@ def _shard_interference(params: dict) -> dict:
             "shard partials support measures graph, average and node; "
             f"got {measure!r}"
         )
-    method = params.get("method", "auto")
-    if method not in ("auto", "brute", "grid", "batch"):
-        raise ValueError("'method' must be auto, brute, grid or batch")
+    method = _kernel_method(params)
     unit = _validate_unit(params)
     need = required_ghost(unit)
     if grid.ghost < need:
@@ -407,9 +412,10 @@ def run_batch(kind: str, params_list: list[dict]) -> list[dict]:
     ...}`` or ``{"ok": False, "error": "<repr>"}``.
 
     A coalesced ``interference`` micro-batch is *fused*: every item whose
-    method resolves to the batch tier (``auto``/``batch``) is computed by
-    one :func:`repro.interference.batch.node_interference_many` array pass
-    instead of a Python loop of scalar kernel calls — same results
+    method resolves to the batch tier (``auto``/``batch``, and ``grid``,
+    which :func:`~repro.serve.protocol.kernel_method` maps to ``batch``) is
+    computed by one :func:`repro.interference.batch.node_interference_many`
+    array pass instead of a Python loop of scalar kernel calls — same results
     bit-for-bit (the kernels' equivalence contract), same per-item error
     independence.
     """

@@ -14,13 +14,15 @@ Request lifecycle
   (explicit load shedding keeps accepted-request latency bounded instead
   of letting the queue collapse under a burst). ``ping`` is answered
   inline and never queued.
-- **Micro-batching** — the dispatcher coalesces up to
-  ``batch_max_size`` *compatible* requests (equal
+- **Micro-batching** — work-conserving: the dispatcher takes a free
+  executor slot, then dispatches the oldest queued request together with
+  every queued *compatible* request (equal
   :class:`repro.serve.routing.RouteKey`, produced by the server's
-  :class:`~repro.serve.routing.Router`) arriving within
-  ``batch_linger_ms`` of the oldest
-  queued request into one executor dispatch, amortizing process-pool
-  round-trip cost over many small requests. Non-batchable types dispatch
+  :class:`~repro.serve.routing.Router`), up to ``batch_max_size``. A
+  batch is never held open on a timer: an idle server runs a lone request
+  at once, and coalescing comes from the backlog that builds while every
+  slot is busy — the one case where amortizing the process-pool round
+  trip over many small requests pays. Non-batchable types dispatch
   individually. Items in a batch fail independently.
 - **Deadlines** — a request's ``deadline_ms`` starts at admission. A
   queued request that expires before dispatch is cancelled without
@@ -486,6 +488,7 @@ class InterferenceServer:
     # -- dispatcher ---------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        cfg = self.config
         while True:
             if not self._queue:
                 self._arrival.clear()
@@ -496,10 +499,15 @@ class InterferenceServer:
             # moment one frees we dispatch the whole accumulated backlog
             # as one batch instead of many small early-collected ones.
             await self._sem.acquire()
-            batch = await self._collect_batch()
-            if not batch:
+            head = self._pop_viable()
+            if head is None:
                 self._sem.release()
                 continue
+            batch = [head]
+            if head.lane.batchable:
+                self._take_lane(head.lane, batch, cfg.batch_max_size)
+                if cfg.batch_linger_ms > 0:
+                    await self._linger(head, batch)
             self._inflight += 1
             obs.gauge("serve.inflight_batches", self._inflight)
             asyncio.create_task(self._execute_batch(batch))
@@ -526,29 +534,23 @@ class InterferenceServer:
             return pending
         return None
 
-    async def _collect_batch(self) -> list[_Pending]:
+    async def _linger(self, head: _Pending, batch: list) -> None:
+        """Deprecated ``batch_linger_ms`` (removed in 3.0.0): hold the
+        batch open for same-lane arrivals until it is full or the linger,
+        counted from ``head``'s admission, has passed."""
         cfg = self.config
-        head = self._pop_viable()
-        if head is None:
-            return []
-        batch = [head]
-        if cfg.batch_max_size > 1 and head.lane.batchable:
-            loop = asyncio.get_running_loop()
-            target = head.enqueued_at + cfg.batch_linger_ms / 1e3
-            while len(batch) < cfg.batch_max_size:
-                self._take_lane(head.lane, batch, cfg.batch_max_size)
-                if len(batch) >= cfg.batch_max_size:
-                    break
-                remaining = target - loop.time()
-                if remaining <= 0:
-                    break
-                self._arrival.clear()
-                try:
-                    await asyncio.wait_for(self._arrival.wait(), remaining)
-                except asyncio.TimeoutError:
-                    self._take_lane(head.lane, batch, cfg.batch_max_size)
-                    break
-        return batch
+        loop = asyncio.get_running_loop()
+        target = head.enqueued_at + cfg.batch_linger_ms / 1e3
+        while len(batch) < cfg.batch_max_size:
+            remaining = target - loop.time()
+            if remaining <= 0:
+                break
+            self._arrival.clear()
+            try:
+                await asyncio.wait_for(self._arrival.wait(), remaining)
+            except asyncio.TimeoutError:
+                pass
+            self._take_lane(head.lane, batch, cfg.batch_max_size)
 
     def _take_lane(self, lane, batch: list, limit: int) -> None:
         """Move queued same-lane requests into ``batch`` (up to ``limit``)."""

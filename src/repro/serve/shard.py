@@ -48,7 +48,7 @@ from dataclasses import dataclass
 # package when ``repro.cluster`` is the first thing imported.
 from repro.cluster.tiles import TileGrid
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.config import ServeConfig
+from repro.serve.config import ServeConfig, warn_if_lingering
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
     ERR_INTERNAL,
@@ -98,6 +98,8 @@ class ClusterConfig:
         put the parallelism between worker processes, not inside them.
     batch_max_size, batch_linger_ms, queue_limit, default_deadline_ms:
         Passed through to each worker's :class:`ServeConfig`.
+        ``batch_linger_ms`` is deprecated there and here (removed in
+        3.0.0); a positive value warns ``DeprecationWarning``.
     max_line_bytes:
         Frame limit for the cluster's links *and* the front-end's public
         port. Whole-shard partials (ids + counts for ~n/k nodes) blow
@@ -116,7 +118,7 @@ class ClusterConfig:
     worker_workers: int = 1
     worker_executor: str = "thread"
     batch_max_size: int = 32
-    batch_linger_ms: float = 2.0
+    batch_linger_ms: float = 0.0
     queue_limit: int = 256
     default_deadline_ms: float | None = None
     max_line_bytes: int = 16 * MAX_LINE_BYTES
@@ -137,6 +139,7 @@ class ClusterConfig:
             raise ValueError("max_line_bytes must be >= 1024")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
+        warn_if_lingering(self.batch_linger_ms)
 
     def tile_grid(self) -> TileGrid:
         if self.grid is not None:
@@ -246,7 +249,10 @@ class ShardCluster:
                 "--workers", str(cfg.worker_workers),
                 "--executor", cfg.worker_executor,
                 "--batch-max", str(cfg.batch_max_size),
-                "--linger-ms", str(cfg.batch_linger_ms),
+                *(
+                    ("--linger-ms", str(cfg.batch_linger_ms))
+                    if cfg.batch_linger_ms > 0 else ()
+                ),
                 "--queue-limit", str(cfg.queue_limit),
                 "--max-line-bytes", str(cfg.max_line_bytes),
                 "--shard-index", str(index),
@@ -258,15 +264,18 @@ class ShardCluster:
             self._procs.append(proc)
             log: deque[str] = deque(maxlen=_WORKER_LOG_LINES)
             self.worker_logs.append(log)
-            banner = (await proc.stdout.readline()).decode(
-                "utf-8", "replace"
-            )
-            log.append(banner.rstrip("\n"))
-            match = _BANNER_RE.search(banner)
-            if not match:
-                raise RuntimeError(
-                    f"shard {index} printed no listening banner: {banner!r}"
-                )
+            # stderr shares the pipe, so warnings (e.g. the deprecated
+            # --linger-ms) may precede the banner: log them and read on
+            match = None
+            while match is None:
+                line = await proc.stdout.readline()
+                if not line:
+                    raise RuntimeError(
+                        f"shard {index} printed no listening banner: "
+                        f"{list(log)!r}"
+                    )
+                log.append(line.decode("utf-8", "replace").rstrip("\n"))
+                match = _BANNER_RE.search(log[-1])
             self._endpoints.append((cfg.host, int(match.group(1))))
             self._log_tasks.append(
                 asyncio.create_task(self._pump_log(proc, log))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,3 +56,52 @@ def path_topology():
 @pytest.fixture
 def random_positions():
     return random_uniform_square(30, side=2.5, seed=7)
+
+
+class DispatchGate:
+    """Holds every serve executor dispatch until :meth:`release`.
+
+    Wraps ``repro.serve.server.run_batch`` so a thread-executor server's
+    batches block in their worker thread. While the gate is shut every
+    executor slot stays busy and new requests queue: that backlog is what
+    work-conserving dispatch coalesces, so batching tests build it
+    explicitly instead of leaning on a timer.
+    """
+
+    def __init__(self, monkeypatch):
+        import repro.serve.server as server_mod
+
+        self._open = threading.Event()
+        self.held = threading.Event()
+        run_batch = server_mod.run_batch
+
+        def gated(kind, params_list):
+            self.held.set()
+            self._open.wait(timeout=30.0)
+            return run_batch(kind, params_list)
+
+        monkeypatch.setattr(server_mod, "run_batch", gated)
+
+    def release(self) -> None:
+        self._open.set()
+
+    def shut(self) -> None:
+        """Close the gate again and forget earlier holds."""
+        self._open.clear()
+        self.held.clear()
+
+    @staticmethod
+    async def until(predicate, timeout: float = 10.0) -> None:
+        """Poll ``predicate`` on the running loop until it holds."""
+        loop = asyncio.get_running_loop()
+        end = loop.time() + timeout
+        while not predicate():
+            assert loop.time() < end, "condition not reached in time"
+            await asyncio.sleep(0.001)
+
+
+@pytest.fixture
+def dispatch_gate(monkeypatch):
+    gate = DispatchGate(monkeypatch)
+    yield gate
+    gate.release()

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from repro.graphs.core import Graph
-from repro.graphs.mst import euclidean_mst_edges, kruskal_mst
+from repro.geometry.generators import grid_points
+from repro.graphs.mst import (
+    edge_order,
+    edge_ranks,
+    euclidean_mst_edges,
+    kruskal_mst,
+)
 from repro.graphs.traversal import is_connected
 
 
@@ -106,3 +112,34 @@ class TestEuclideanMst:
     def test_empty_candidates(self, random_positions):
         out = euclidean_mst_edges(random_positions, candidate_edges=np.empty((0, 2)))
         assert out.shape == (0, 2)
+
+
+class TestEdgeRanks:
+    """``edge_ranks`` is the inverse permutation of ``edge_order``."""
+
+    @staticmethod
+    def _lattice_edges(rows, cols):
+        pos = grid_points(rows, cols)
+        cand = np.stack(np.triu_indices(rows * cols, k=1), axis=1)
+        d = pos[cand[:, 0]] - pos[cand[:, 1]]
+        return np.hypot(d[:, 0], d[:, 1]), cand
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (4, 4), (7, 5)])
+    def test_equals_argsort_of_order_on_lattice_ties(self, shape):
+        # every lattice length repeats, so (lo, hi) breaks most ties
+        weights, edges = self._lattice_edges(*shape)
+        want = np.argsort(edge_order(weights, edges))
+        got = edge_ranks(weights, edges)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_equals_argsort_of_order_on_all_equal_weights(self):
+        rng = np.random.default_rng(0)
+        edges = np.sort(rng.integers(0, 30, size=(200, 2)), axis=1)
+        weights = np.ones(len(edges))
+        want = np.argsort(edge_order(weights, edges))
+        np.testing.assert_array_equal(edge_ranks(weights, edges), want)
+
+    def test_empty(self):
+        got = edge_ranks(np.empty(0), np.empty((0, 2), dtype=np.int64))
+        assert got.shape == (0,)

@@ -7,6 +7,8 @@ contract: results are identical to per-item scalar execution, items
 still fail independently, and the fusion is observable via counters.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,33 @@ class TestFusedEqualsScalar:
             },
             _inline_item(5, measure="sender"),
         ]
-        got = run_batch("interference", items)
-        for item, res in zip(items, got):
-            assert res["ok"], res
-            assert res["result"] == handle_interference(item)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "grid" never reaches the shim
+            got = run_batch("interference", items)
+            for item, res in zip(items, got):
+                assert res["ok"], res
+                assert res["result"] == handle_interference(item)
+
+    def test_grid_items_fuse_as_batch_without_warning(self):
+        """The wire's ``method="grid"`` runs as ``"batch"``: fused with
+        the batch-tier items, no ``DeprecationWarning`` in the worker, and
+        bit-identical to ``"batch"`` and to the brute kernel."""
+        methods = ["grid", "batch", "grid", "auto", "grid"]
+        items = [
+            _inline_item(s, measure="node", method=m)
+            for s, m in enumerate(methods)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with obs.capture() as trace:
+                got = run_batch("interference", items)
+            for method in ("batch", "brute"):
+                want = [
+                    handle_interference({**item, "method": method})
+                    for item in items
+                ]
+                assert [r["result"] for r in got] == want
+        assert trace.counters.get("serve.interference.fused", 0) == 5
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_single_measure_batches(self, measure):

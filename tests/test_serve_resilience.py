@@ -18,7 +18,7 @@ from repro.serve import (
 
 
 def thread_config(**overrides) -> ServeConfig:
-    base = dict(port=0, workers=2, executor="thread", batch_linger_ms=1.0)
+    base = dict(port=0, workers=2, executor="thread")
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -146,7 +146,7 @@ class TestPoolWorkerDeath:
         # respawned, and later requests must execute on the new worker
         config = ServeConfig(
             port=0, workers=1, executor="process",
-            batch_max_size=1, batch_linger_ms=1.0,
+            batch_max_size=1,
         )
 
         async def scenario():

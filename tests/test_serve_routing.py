@@ -127,7 +127,7 @@ class TestServerRouterInjection:
         )
         assert default == injected
 
-    def test_custom_router_key_controls_coalescing(self):
+    def test_custom_router_key_controls_coalescing(self, dispatch_gate):
         """A router that never batches forces per-request dispatches."""
 
         class SoloRouter(Router):
@@ -140,26 +140,35 @@ class TestServerRouterInjection:
         async def batch_stats(router):
             from repro.serve.client import ServeClient
 
+            # one busy executor slot: the six requests sent after the
+            # first queue behind it, and the router alone decides whether
+            # that backlog leaves in one dispatch or six
+            dispatch_gate.shut()
             server = InterferenceServer(
-                ServeConfig(
-                    executor="thread", workers=1,
-                    batch_max_size=8, batch_linger_ms=50.0,
-                ),
+                ServeConfig(executor="thread", workers=1, batch_max_size=8),
                 router=router,
             )
             await server.start()
             try:
                 client = await ServeClient.connect(port=server.port)
-                await asyncio.gather(*(
-                    client.request(
+
+                def send(seed):
+                    return asyncio.ensure_future(client.request(
                         "interference",
                         {
                             "generator": "random_udg_connected",
-                            "args": {"n": 12, "side": 2.0, "seed": s},
+                            "args": {"n": 12, "side": 2.0, "seed": seed},
                         },
-                    )
-                    for s in range(6)
-                ))
+                    ))
+
+                holder = send(0)
+                await dispatch_gate.until(dispatch_gate.held.is_set)
+                queued = [send(s) for s in range(6)]
+                await dispatch_gate.until(
+                    lambda: server.stats()["queue_depth"] == 6
+                )
+                dispatch_gate.release()
+                await asyncio.gather(holder, *queued)
                 await client.close()
                 return server.stats()
             finally:
@@ -167,8 +176,18 @@ class TestServerRouterInjection:
 
         solo = asyncio.run(batch_stats(SoloRouter()))
         assert solo["max_batch_size"] == 1
+        assert solo["batches"] == 7
         lane = asyncio.run(batch_stats(LaneRouter()))
         assert lane["max_batch_size"] >= 2
+        assert lane["max_batch_size"] == 6
+
+    def test_grid_and_batch_methods_share_a_lane(self):
+        """The wire's ``"grid"`` keys the lane it runs on, ``"batch"``."""
+        router = LaneRouter()
+        grid = router.route("interference", {"method": "grid"})
+        assert grid == router.route("interference", {"method": "batch"})
+        assert grid.method == "batch"
+        assert grid != router.route("interference", {"method": "brute"})
 
 
 class TestApiExports:

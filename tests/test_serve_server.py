@@ -24,7 +24,7 @@ from repro.serve import (
 
 
 def thread_config(**overrides) -> ServeConfig:
-    base = dict(port=0, workers=2, executor="thread", batch_linger_ms=1.0)
+    base = dict(port=0, workers=2, executor="thread")
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -126,18 +126,32 @@ class TestRequestTypes:
 
 
 class TestBatching:
-    def test_concurrent_small_requests_coalesce(self):
-        config = thread_config(batch_max_size=16, batch_linger_ms=20.0)
+    """Coalescing comes from a backlog queued behind a busy executor slot.
+
+    ``dispatch_gate`` holds the one slot (``workers=1``) with a first
+    request, so the requests sent after it queue deterministically; the
+    gate then opens and the backlog dispatches.
+    """
+
+    def test_concurrent_small_requests_coalesce(self, dispatch_gate):
+        config = thread_config(workers=1, batch_max_size=64)
 
         async def scenario():
             async with InterferenceServer(config) as server:
                 async with await ServeClient.connect(port=server.port) as client:
-                    results = await asyncio.gather(*(
-                        client.interference(
+                    def send():
+                        return asyncio.ensure_future(client.interference(
                             generator="exponential_chain", args={"n": 8}
-                        )
-                        for _ in range(40)
-                    ))
+                        ))
+
+                    holder = send()
+                    await dispatch_gate.until(dispatch_gate.held.is_set)
+                    queued = [send() for _ in range(39)]
+                    await dispatch_gate.until(
+                        lambda: server.stats()["queue_depth"] == 39
+                    )
+                    dispatch_gate.release()
+                    results = await asyncio.gather(holder, *queued)
                     return results, server.stats()
 
         results, stats = run(scenario())
@@ -146,6 +160,9 @@ class TestBatching:
         assert stats["batched_requests"] == 40
         assert stats["max_batch_size"] > 1
         assert stats["batches"] < 40  # coalescing actually happened
+        # the whole backlog left in one dispatch behind the holder's
+        assert stats["batches"] == 2
+        assert stats["max_batch_size"] == 39
 
     def test_batch_max_size_one_disables_coalescing(self):
         config = thread_config(batch_max_size=1)
@@ -165,26 +182,179 @@ class TestBatching:
         assert stats["batches"] == 5
         assert stats["max_batch_size"] == 1
 
-    def test_incompatible_lanes_never_share_a_batch(self):
-        config = thread_config(batch_max_size=16, batch_linger_ms=20.0)
+    def test_incompatible_lanes_never_share_a_batch(self, dispatch_gate):
+        config = thread_config(workers=1, batch_max_size=16)
 
         async def scenario():
             async with InterferenceServer(config) as server:
                 async with await ServeClient.connect(port=server.port) as client:
-                    results = await asyncio.gather(*(
-                        client.interference(
+                    def send(measure):
+                        return asyncio.ensure_future(client.interference(
                             generator="exponential_chain", args={"n": 8},
-                            measure=("graph" if i % 2 else "average"),
-                        )
+                            measure=measure,
+                        ))
+
+                    holder = send("node")
+                    await dispatch_gate.until(dispatch_gate.held.is_set)
+                    queued = [
+                        send("graph" if i % 2 else "average")
                         for i in range(8)
-                    ))
-                    return results, server.stats()
+                    ]
+                    await dispatch_gate.until(
+                        lambda: server.stats()["queue_depth"] == 8
+                    )
+                    dispatch_gate.release()
+                    results = await asyncio.gather(holder, *queued)
+                    return results[1:], server.stats()
 
         results, stats = run(scenario())
         assert stats["batches"] >= 2  # at least one dispatch per lane
         graphs = [r for r in results if r["measure"] == "graph"]
         averages = [r for r in results if r["measure"] == "average"]
         assert len(graphs) == len(averages) == 4
+        # holder, then exactly one dispatch per queued lane
+        assert stats["batches"] == 3
+        assert stats["max_batch_size"] == 4
+
+    def test_lone_request_dispatches_without_a_timer(self):
+        """An idle server runs a lone request at once: with the event
+        loop's clock frozen no timer can ever fire, so the request can
+        only complete if dispatch never waits on one."""
+        import threading
+
+        async def scenario():
+            async with InterferenceServer(thread_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    loop = asyncio.get_running_loop()
+                    frozen = loop.time()
+                    loop.time = lambda: frozen
+                    try:
+                        request = asyncio.ensure_future(client.interference(
+                            generator="exponential_chain", args={"n": 8}
+                        ))
+                        # a thread-side wait bounds the test in real time
+                        stop = threading.Event()
+                        watchdog = loop.run_in_executor(None, stop.wait, 10.0)
+                        done, _ = await asyncio.wait(
+                            {request, watchdog},
+                            return_when=asyncio.FIRST_COMPLETED,
+                        )
+                    finally:
+                        stop.set()
+                        del loop.time
+                    assert request in done, "lone request waited on a timer"
+                    return request.result(), server.stats()
+
+        result, stats = run(scenario())
+        topo = unit_disk_graph(exponential_chain(8), unit=1.0)
+        assert result["value"] == int(graph_interference(topo))
+        assert stats["batches"] == 1
+
+    def test_deprecated_linger_warns_and_still_lingers(self):
+        """A positive ``batch_linger_ms`` holds a lone request open until a
+        second same-lane request fills its batch."""
+        with pytest.warns(DeprecationWarning, match="batch_linger_ms"):
+            config = thread_config(
+                workers=1, batch_max_size=2, batch_linger_ms=10_000.0
+            )
+
+        async def scenario():
+            async with InterferenceServer(config) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    def send():
+                        return asyncio.ensure_future(client.interference(
+                            generator="exponential_chain", args={"n": 8}
+                        ))
+
+                    first = send()
+                    while server.stats()["accepted"] < 1:
+                        await asyncio.sleep(0.001)
+                    for _ in range(5):  # let the dispatcher take it
+                        await asyncio.sleep(0)
+                    second = send()
+                    await asyncio.gather(first, second)
+                    return server.stats()
+
+        stats = run(scenario())
+        # without the linger the first request would have gone alone
+        assert stats["batches"] == 1
+        assert stats["max_batch_size"] == 2
+
+    def test_deprecated_linger_ms_flag_warns_and_still_lingers(self, tmp_path):
+        """``repro serve --linger-ms`` keeps lingering, with a warning."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p
+        )
+        stats_path = tmp_path / "stats.json"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro.cli", "serve",
+                "--port", "0", "--workers", "1", "--executor", "thread",
+                "--batch-max", "2", "--linger-ms", "10000",
+                "--stats-json", str(stats_path),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+
+        async def drive(port):
+            async with await ServeClient.connect(port=port) as client:
+                def send():
+                    return asyncio.ensure_future(client.interference(
+                        generator="exponential_chain", args={"n": 8}
+                    ))
+
+                first = send()
+                await asyncio.sleep(0.2)  # the first is dispatched alone now
+                await asyncio.gather(first, send())  # ...unless it lingers
+
+        try:
+            match = re.search(
+                r"listening on [\d.]+:(\d+)", proc.stdout.readline()
+            )
+            assert match, "no listening banner"
+            run(drive(int(match.group(1))))
+        finally:
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        assert "DeprecationWarning: batch_linger_ms / --linger-ms" in err
+        stats = json.loads(stats_path.read_text())
+        assert stats["batches"] == 1
+        assert stats["max_batch_size"] == 2
+
+    def test_deprecated_cluster_linger_warns_and_reaches_workers(self):
+        """Subprocess shard workers get the deprecated ``--linger-ms``;
+        the warning it prints before their banner must not break start-up."""
+        from repro.serve.shard import ClusterConfig, ShardCluster
+
+        with pytest.warns(DeprecationWarning, match="batch_linger_ms"):
+            config = ClusterConfig(
+                shards=1, worker_mode="subprocess", batch_linger_ms=1.0
+            )
+
+        async def scenario():
+            async with ShardCluster(config) as cluster:
+                async with await ServeClient.connect(port=cluster.port) as client:
+                    result = await client.interference(
+                        generator="exponential_chain", args={"n": 8}
+                    )
+                return result, list(cluster.worker_logs[0])
+
+        result, log = run(scenario())
+        topo = unit_disk_graph(exponential_chain(8), unit=1.0)
+        assert result["value"] == int(graph_interference(topo))
+        assert "DeprecationWarning: batch_linger_ms" in log[0]
 
 
 class TestErrors:

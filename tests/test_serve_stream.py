@@ -15,7 +15,7 @@ from repro.stream import StreamEngine, StreamConfig, random_stream_events
 
 
 def thread_config(**overrides) -> ServeConfig:
-    base = dict(port=0, workers=2, executor="thread", batch_linger_ms=1.0)
+    base = dict(port=0, workers=2, executor="thread")
     base.update(overrides)
     return ServeConfig(**base)
 
