@@ -76,6 +76,55 @@ def clamped_cell_size(cell: float, span, n: int) -> float:
     return max(cell, float(low))
 
 
+#: Relative half-width of the band around r² inside which
+#: :class:`DiskCover` defers to ``np.hypot``: squared distances below
+#: ``r²(1 - COVER_BAND)`` are inside, above ``r²(1 + COVER_BAND)``
+#: outside. 2^-40 is ~2^12 times the rounding error of ``dx² + dy²`` and
+#: of hypot, so no pair outside the band can round across the boundary.
+COVER_BAND = 2.0**-40
+
+#: Radii with r² in [2^-900, 2^900]: their squared distances can neither
+#: underflow into the band nor overflow out of it. Every other disk
+#: (r = 0, tiny, huge, NaN) sends all its pairs to ``np.hypot``.
+_COVER_R_MIN = 2.0**-450
+_COVER_R_MAX = 2.0**450
+
+
+class DiskCover:
+    """The grid tier's coverage predicate: exactly ``np.hypot(dx, dy) <=
+    r``, decided from ``dx² + dy²`` outside a thin band around r².
+
+    ``radii`` are the disks' radii; the per-disk thresholds
+    ``lo = r²(1 - 2⁻⁴⁰)`` and ``hi = r²(1 + 2⁻⁴⁰)`` are computed once, at
+    construction. ``cover(dx, dy, q)`` then tests pairs against disks
+    ``q``: ``s = dx² + dy² <= lo[q]`` is inside, ``s > hi[q]`` outside,
+    and only a pair in between (or of a disk outside the safe radius
+    range, or with a NaN ``s``) calls ``np.hypot``. DESIGN.md §5 holds the
+    error argument: the result is bit-identical to the literal hypot
+    predicate the brute-force kernels apply, at the cost of a squared
+    comparison. Overflow and underflow are expected and silenced.
+    """
+
+    def __init__(self, radii):
+        r = self.radii = np.asarray(radii, dtype=np.float64)
+        ok = (r >= _COVER_R_MIN) & (r <= _COVER_R_MAX)
+        with np.errstate(all="ignore"):
+            r2 = r * r
+            self.lo = np.where(ok, r2 * (1.0 - COVER_BAND), -np.inf)
+            self.hi = np.where(ok, r2 * (1.0 + COVER_BAND), np.inf)
+
+    def __call__(self, dx, dy, q):
+        """Boolean array ``np.hypot(dx, dy) <= radii[q]``, bit for bit."""
+        with np.errstate(all="ignore"):
+            s = dx * dx + dy * dy
+            keep = s <= self.lo[q]
+            band = ~(keep | (s > self.hi[q]))
+            if band.any():
+                i = np.flatnonzero(band)
+                keep[i] = np.hypot(dx[i], dy[i]) <= self.radii[q[i]]
+        return keep
+
+
 def _radii(radii, m: int) -> np.ndarray:
     """``radii`` as a length-``m`` float64 array; negative or NaN raise."""
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (m,))
@@ -158,8 +207,8 @@ class BatchQuery(Protocol):
     layer's fused interference lane identically. The contract is the
     batch tier's: ``positions`` is the indexed ``(n, 2)`` float64 array,
     ``query_pairs``/``count_within`` answer many inclusive disk queries
-    at once with the ``hypot(dx, dy) <= r`` predicate, bit-identical to
-    the brute-force kernels.
+    at once with the ``hypot(dx, dy) <= r`` predicate (:class:`DiskCover`
+    for :class:`GridIndex`), bit-identical to the brute-force kernels.
     """
 
     positions: np.ndarray
@@ -285,16 +334,19 @@ class GridIndex:
 
     def _batch_hits(self, cx, cy, radii):
         """Yield ``(query_ids, csr_positions)`` hit chunks for many disks:
-        the :meth:`_candidates` under the ``hypot(dx, dy) <= r`` predicate.
+        the :meth:`_candidates` under the ``hypot(dx, dy) <= r`` predicate,
+        decided by :class:`DiskCover`.
         """
         if len(self) == 0 or radii.size == 0:
             return
+        # hypot's answer, bit for bit, from a squared comparison: a bare
+        # d*d <= r*r would round across the boundary near d = r and
+        # underflow to 0 for sub-1e-154 gaps (normalized exponential
+        # chains reach denormals). DiskCover calls hypot only on the
+        # 2^-40 band around r² and for disks outside [2^-450, 2^450].
+        cover = DiskCover(radii)
         for q, t in self._candidates(cx, cy, radii):
-            # hypot, not squared distance: d*d underflows to 0 for sub-1e-154
-            # gaps (normalized exponential chains reach denormals), which
-            # would put points inside disks that exclude them. hypot keeps
-            # the predicate bitwise-identical to the brute-force kernels.
-            keep = np.hypot(self._xs[t] - cx[q], self._ys[t] - cy[q]) <= radii[q]
+            keep = cover(self._xs[t] - cx[q], self._ys[t] - cy[q], q)
             yield q[keep], t[keep]
 
     def query_pairs(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from repro.graphs.core import Graph
 from repro.graphs.unionfind import DisjointSet
 from repro.utils import check_edge_array, check_positions
-from repro.utils.validation import edges_from_keys
+from repro.utils.validation import edge_keys, edges_from_keys
 
 
 def kruskal_mst(graph: Graph) -> Graph:
@@ -34,8 +34,22 @@ def kruskal_mst(graph: Graph) -> Graph:
 
 def edge_order(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Indices of canonical ``edges`` sorted by ``(weight, lo, hi)``
-    ascending: the one link order (and MST tie-break) of the library."""
-    return np.lexsort((edges[:, 1], edges[:, 0], weights))
+    ascending: the one link order (and MST tie-break) of the library.
+
+    ``edges`` must be in lexicographic row order, as every canonical edge
+    array is (:attr:`Topology.edges`, :func:`check_edge_array` output,
+    ``triu_indices``): then one stable sort of ``weights`` breaks ties by
+    row index, which is ``(lo, hi)`` order. The precondition is checked in
+    O(m) on monotone edge keys; unsorted edges raise ``ValueError``.
+    """
+    edges = np.asarray(edges)
+    if len(weights) != edges.shape[0]:
+        raise ValueError("weights and edges differ in length")
+    if edges.shape[0] > 1:
+        keys = edge_keys(edges, int(edges[:, 1].max()) + 1)
+        if not np.all(keys[1:] >= keys[:-1]):
+            raise ValueError("edges must be in lexicographic (lo, hi) order")
+    return np.argsort(weights, kind="stable")
 
 
 def edge_ranks(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:

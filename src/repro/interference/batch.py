@@ -6,22 +6,25 @@ answers *all* queries of an instance — or of a whole
 micro-batch of instances — through the row-span enumerator of
 :mod:`repro.geometry.spatial`: each node's query window is a few
 ``(start, end)`` runs of the CSR cell layout, queries are walked in CSR
-order over cell-sorted coordinates, and the ``hypot`` coverage predicate
-is one vectorized operation per chunk of at most ``BATCH_PAIR_CHUNK``
-candidate pairs. :func:`node_interference_many` namespaces the cell ids of
-many instances into one layout, so a micro-batch is one enumerator pass.
+order over cell-sorted coordinates, and the coverage predicate
+(:class:`repro.geometry.spatial.DiskCover`) is a few vectorized
+operations per chunk of at most ``BATCH_PAIR_CHUNK`` candidate pairs.
+:func:`node_interference_many` namespaces the cell ids of many instances
+into one layout, so a micro-batch is one enumerator pass.
 
-Equivalence contract: the predicate is byte-for-byte the brute kernel's
-(``hypot(dx, dy) <= r_u * (1 + rtol) + atol``), so ``batch == brute ==
-naive`` bit-for-bit on every instance family (asserted by the
-property suites).
+Equivalence contract: the predicate answers exactly what the brute
+kernel's ``hypot(dx, dy) <= r_u * (1 + rtol) + atol`` answers —
+``DiskCover`` decides from ``dx² + dy²`` and calls ``hypot`` itself only
+on a 2⁻⁴⁰ band around r² — so ``batch == brute == naive`` bit-for-bit on
+every instance family (asserted by the property suites).
 
 Backends
 --------
 The default backend is pure numpy (zero new dependencies). When `numba`
 is importable, an optional JIT backend replaces the enumerator with one
 compiled loop nest over the same row spans (one pair of binary searches
-per row) — same IEEE arithmetic, bit-identical counts. Selection:
+per row) and the literal ``hypot`` test — bit-identical counts.
+Selection:
 
 - ``REPRO_BATCH_BACKEND=numpy`` forces the numpy path;
 - ``REPRO_BATCH_BACKEND=numba`` requires numba (raises if missing);
@@ -40,6 +43,7 @@ import numpy as np
 from repro import obs
 from repro.geometry.spatial import (
     BatchQuery,
+    DiskCover,
     GridIndex,
     _row_span_pairs,
     _start_table,
@@ -136,8 +140,9 @@ def _covered_counts(xs, ys, r_eff, first, width, rows, stride, cell_ids, table):
         except Exception:
             obs.count("interference.batch.numba_fallback")
     counts = np.zeros(xs.shape[0], dtype=np.int64)
+    cover = DiskCover(r_eff)
     for q, t in _row_span_pairs(first, width, rows, stride, cell_ids, table):
-        keep = np.hypot(xs[t] - xs[q], ys[t] - ys[q]) <= r_eff[q]
+        keep = cover(xs[t] - xs[q], ys[t] - ys[q], q)
         keep &= q != t
         counts += np.bincount(t[keep], minlength=counts.size)
     return counts

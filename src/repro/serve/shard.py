@@ -201,11 +201,27 @@ class ShardCluster:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
+        """Start the workers, link to them and open the front-end port.
+
+        A failure at any step (a worker that prints no banner, a refused
+        link) stops whatever already started before it propagates: no
+        worker process or in-process server outlives a failed start.
+        """
         if self._server is not None:
             raise RuntimeError("cluster already started")
+        try:
+            await self._start()
+        except BaseException:
+            await self.stop()
+            raise
+
+    async def _start(self) -> None:
         from repro.cluster.router import ClusterRouter
 
         cfg = self.config
+        # a stopped (or failed) start leaves its endpoints and logs behind
+        self._endpoints = []
+        self.worker_logs = []
         if cfg.worker_mode == "inprocess":
             await self._start_inprocess_workers()
         else:

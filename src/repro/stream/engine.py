@@ -140,18 +140,21 @@ class StreamEngine:
             raise StreamStateError(f"node {node} is not active")
         return self.counts[node]
 
+    def _active_ids(self) -> np.ndarray:
+        """Active node ids, ascending: one vectorized scan of the
+        ``active`` bytes, not a Python loop over the capacity."""
+        return np.flatnonzero(np.frombuffer(self.active, np.uint8))
+
     def active_nodes(self) -> list[int]:
-        return [i for i in range(self.config.capacity) if self.active[i]]
+        return self._active_ids().tolist()
 
     def node_interference(self) -> np.ndarray:
         """Counts over the whole universe (inactive entries are 0)."""
         return np.asarray(self.counts, dtype=np.int64)
 
     def max_interference(self) -> int:
-        act = self.active
-        return max(
-            (c for i, c in enumerate(self.counts) if act[i]), default=0
-        )
+        counts = self.counts
+        return max((counts[i] for i in self.active_nodes()), default=0)
 
     def region_read(
         self, xmin: float, ymin: float, xmax: float, ymax: float
@@ -850,7 +853,7 @@ class StreamEngine:
         O(active^2) in ``chunk``-row blocks; verification-path only.
         """
         cap = self.config.capacity
-        idx = np.flatnonzero(np.frombuffer(bytes(self.active), dtype=np.uint8))
+        idx = self._active_ids()
         out = np.zeros(cap, dtype=np.int64)
         if idx.size == 0:
             return out
@@ -879,22 +882,16 @@ class StreamEngine:
         h = hashlib.sha256()
         h.update(f"seq={self.seq};n={self.n_active};".encode())
         xs, ys, rs, counts = self.xs, self.ys, self.rs, self.counts
-        for i in range(self.config.capacity):
-            if self.active[i]:
-                h.update(
-                    f"{i}:{xs[i]!r},{ys[i]!r},{rs[i]!r},{counts[i]};".encode()
-                )
+        for i in self.active_nodes():
+            h.update(f"{i}:{xs[i]!r},{ys[i]!r},{rs[i]!r},{counts[i]};".encode())
         return h.hexdigest()
 
     # -- snapshot support --------------------------------------------------
 
     def state_jsonable(self) -> dict:
         """Sparse full state (active nodes only), JSON round-trip exact."""
-        nodes = [
-            [i, self.xs[i], self.ys[i], self.rs[i], self.counts[i]]
-            for i in range(self.config.capacity)
-            if self.active[i]
-        ]
+        xs, ys, rs, counts = self.xs, self.ys, self.rs, self.counts
+        nodes = [[i, xs[i], ys[i], rs[i], counts[i]] for i in self.active_nodes()]
         return {"seq": self.seq, "nodes": nodes}
 
     def state_json(self) -> str:
@@ -905,8 +902,7 @@ class StreamEngine:
         xs, ys, rs, counts = self.xs, self.ys, self.rs, self.counts
         nodes = ",".join(
             f"[{i},{xs[i]!r},{ys[i]!r},{rs[i]!r},{counts[i]}]"
-            for i in range(self.config.capacity)
-            if self.active[i]
+            for i in self.active_nodes()
         )
         return f'{{"seq":{self.seq},"nodes":[{nodes}]}}'
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.core import Graph
-from repro.geometry.generators import grid_points
+from repro.geometry.generators import grid_points, random_uniform_square
 from repro.graphs.mst import (
     edge_order,
     edge_ranks,
@@ -13,6 +13,8 @@ from repro.graphs.mst import (
     kruskal_mst,
 )
 from repro.graphs.traversal import is_connected
+from repro.model import unit_disk_graph
+from repro.utils import check_edge_array
 
 
 def _weighted_random(n, p, seed):
@@ -134,8 +136,10 @@ class TestEdgeRanks:
         np.testing.assert_array_equal(got, want)
 
     def test_equals_argsort_of_order_on_all_equal_weights(self):
+        # edge_order takes canonical edges: lexicographic rows, lo < hi
         rng = np.random.default_rng(0)
-        edges = np.sort(rng.integers(0, 30, size=(200, 2)), axis=1)
+        edges = rng.integers(0, 30, size=(200, 2))
+        edges = check_edge_array(edges[edges[:, 0] != edges[:, 1]], 30)
         weights = np.ones(len(edges))
         want = np.argsort(edge_order(weights, edges))
         np.testing.assert_array_equal(edge_ranks(weights, edges), want)
@@ -143,3 +147,57 @@ class TestEdgeRanks:
     def test_empty(self):
         got = edge_ranks(np.empty(0), np.empty((0, 2), dtype=np.int64))
         assert got.shape == (0,)
+
+
+def _lexsort_order(weights, edges):
+    """The ``(weight, lo, hi)`` three-key order ``edge_order`` replaces."""
+    return np.lexsort((edges[:, 1], edges[:, 0], weights))
+
+
+class TestEdgeOrder:
+    """One stable argsort of the weights equals the three-key lexsort on
+    canonical (lexicographically sorted) edges, and unsorted edges raise."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (4, 4), (7, 5), (3, 11)])
+    def test_equals_lexsort_on_lattice_ties(self, shape):
+        weights, edges = TestEdgeRanks._lattice_edges(*shape)
+        np.testing.assert_array_equal(
+            edge_order(weights, edges), _lexsort_order(weights, edges)
+        )
+
+    def test_equals_lexsort_on_all_equal_weights(self):
+        rng = np.random.default_rng(3)
+        edges = rng.integers(0, 50, size=(400, 2))
+        edges = check_edge_array(edges[edges[:, 0] != edges[:, 1]], 50)
+        weights = np.full(len(edges), 0.5)
+        got = edge_order(weights, edges)
+        np.testing.assert_array_equal(got, _lexsort_order(weights, edges))
+        np.testing.assert_array_equal(got, np.arange(len(edges)))
+
+    def test_equals_lexsort_on_a_large_udg(self):
+        pos = random_uniform_square(20_000, side=np.sqrt(20_000 / 8.0), seed=5)
+        udg = unit_disk_graph(pos, unit=1.0)
+        assert udg.n_edges > 50_000
+        # rounded lengths: many exact ties, broken by (lo, hi)
+        for weights in (udg.edge_lengths, np.round(udg.edge_lengths, 2)):
+            np.testing.assert_array_equal(
+                edge_order(weights, udg.edges),
+                _lexsort_order(weights, udg.edges),
+            )
+
+    def test_unsorted_edges_raise(self):
+        edges = np.array([[0, 2], [0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="lexicographic"):
+            edge_order(np.ones(3), edges)
+        with pytest.raises(ValueError, match="lexicographic"):
+            edge_ranks(np.ones(3), edges[[2, 0, 1]])
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="length"):
+            edge_order(np.ones(2), np.array([[0, 1], [0, 2], [1, 2]]))
+
+    def test_trivial_sizes(self):
+        assert edge_order(np.empty(0), np.empty((0, 2), np.int64)).size == 0
+        np.testing.assert_array_equal(
+            edge_order(np.ones(1), np.array([[3, 4]])), [0]
+        )

@@ -8,6 +8,8 @@ new failure modes: ``wrong_shard`` redirects and ``shard_unavailable``.
 """
 
 import asyncio
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -327,5 +329,130 @@ class TestFrontEndProtocol:
                     assert err.value.code == "bad_request"
                 finally:
                     await client.close()
+
+        asyncio.run(scenario())
+
+
+async def _port_refuses(port):
+    try:
+        _, writer = await asyncio.open_connection("127.0.0.1", port)
+    except OSError:
+        return True
+    writer.close()
+    return False
+
+
+class TestStartFailure:
+    """A start-up step that raises stops everything already started and
+    propagates out of ``async with`` — no worker outlives it."""
+
+    def test_refused_link_stops_inprocess_workers(self, monkeypatch):
+        import repro.serve.shard as shard
+
+        started = []
+        real_start = InterferenceServer.start
+
+        async def recording_start(server):
+            await real_start(server)
+            started.append((server, server.port))
+
+        real_connect = ServeClient.connect
+        calls = []
+
+        async def refusing_connect(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ConnectionRefusedError("link refused")
+            return await real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(InterferenceServer, "start", recording_start)
+        monkeypatch.setattr(shard.ServeClient, "connect", refusing_connect)
+
+        async def scenario():
+            cluster = ShardCluster(ClusterConfig(
+                shards=3, worker_mode="inprocess",
+                bounds=(0.0, 0.0, SIDE, SIDE), ghost=2.5,
+            ))
+            with pytest.raises(ConnectionRefusedError, match="link refused"):
+                async with cluster:
+                    pytest.fail("the body must not run")
+            assert len(started) == 3
+            for worker, port in started:
+                assert worker._executor is None
+                assert await _port_refuses(port)
+            assert cluster._workers == [] and cluster._clients == []
+            assert cluster._server is None
+
+        asyncio.run(scenario())
+
+    def test_restarts_after_a_failed_start_and_after_stop(self, monkeypatch):
+        import repro.serve.shard as shard
+
+        real_connect = ServeClient.connect
+        calls = []
+
+        async def refuse_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ConnectionRefusedError("link refused")
+            return await real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(shard.ServeClient, "connect", refuse_once)
+
+        async def scenario():
+            cluster = ShardCluster(ClusterConfig(
+                shards=2, worker_mode="inprocess",
+                bounds=(0.0, 0.0, SIDE, SIDE), ghost=2.5,
+            ))
+            with pytest.raises(ConnectionRefusedError):
+                await cluster.start()
+            for _ in range(2):  # after the failed start, then after stop()
+                await cluster.start()
+                try:
+                    assert len(cluster.endpoints) == 2
+                    client = await real_connect(
+                        port=cluster.port, limit=cluster.config.max_line_bytes
+                    )
+                    try:
+                        assert await client.ping() == {"pong": True}
+                    finally:
+                        await client.close()
+                finally:
+                    await cluster.stop()
+
+        asyncio.run(scenario())
+
+    def test_worker_without_banner_stops_spawned_processes(self, monkeypatch):
+        import repro.serve.shard as shard
+
+        real_exec = asyncio.create_subprocess_exec
+        procs = []
+
+        async def spawn(*cmd, **kwargs):
+            if len(procs) == 1:
+                # the second worker exits without printing its banner
+                cmd = (sys.executable, "-c", "pass")
+            proc = await real_exec(*cmd, **kwargs)
+            procs.append(proc)
+            return proc
+
+        monkeypatch.setattr(shard.asyncio, "create_subprocess_exec", spawn)
+
+        async def scenario():
+            cluster = ShardCluster(ClusterConfig(
+                shards=3, worker_mode="subprocess",
+                bounds=(0.0, 0.0, SIDE, SIDE), ghost=2.5,
+            ))
+            with pytest.raises(RuntimeError, match="shard 1 printed no"):
+                async with cluster:
+                    pytest.fail("the body must not run")
+            assert len(procs) == 2  # start-up stopped at the failing worker
+            for proc in procs:
+                assert proc.returncode is not None
+                with pytest.raises(ProcessLookupError):
+                    os.kill(proc.pid, 0)
+            assert cluster._procs == [] and cluster._log_tasks == []
+            # the healthy worker drained on SIGINT and reported it
+            assert any("listening on" in line for line in cluster.worker_logs[0])
 
         asyncio.run(scenario())

@@ -177,3 +177,67 @@ class TestExactness:
         for target in (engine, clone):
             target.apply(StreamEvent("move", node, 0.25, 0.25, 0.5))
         assert clone.state_digest() == engine.state_digest()
+
+
+class TestSnapshotScan:
+    """The snapshot and query methods read the active ids from one numpy
+    scan of the ``active`` bytes; their output must stay byte-identical
+    to the per-slot Python loops they replaced."""
+
+    @staticmethod
+    def _legacy(engine):
+        import hashlib
+
+        cap = engine.config.capacity
+        act, xs, ys, rs, counts = (
+            engine.active, engine.xs, engine.ys, engine.rs, engine.counts
+        )
+        ids = [i for i in range(cap) if act[i]]
+        h = hashlib.sha256()
+        h.update(f"seq={engine.seq};n={engine.n_active};".encode())
+        for i in range(cap):
+            if act[i]:
+                h.update(
+                    f"{i}:{xs[i]!r},{ys[i]!r},{rs[i]!r},{counts[i]};".encode()
+                )
+        nodes = [[i, xs[i], ys[i], rs[i], counts[i]] for i in ids]
+        body = ",".join(
+            f"[{i},{xs[i]!r},{ys[i]!r},{rs[i]!r},{counts[i]}]" for i in ids
+        )
+        return {
+            "ids": ids,
+            "max": max((c for i, c in enumerate(counts) if act[i]), default=0),
+            "digest": h.hexdigest(),
+            "jsonable": {"seq": engine.seq, "nodes": nodes},
+            "json": f'{{"seq":{engine.seq},"nodes":[{body}]}}',
+        }
+
+    @pytest.mark.parametrize("family", ["uniform", "clustered"])
+    def test_matches_the_per_slot_loops_on_a_churned_engine(self, family):
+        config = small_config(capacity=3000)
+        engine = StreamEngine(config)
+        events = random_stream_events(
+            6000, capacity=3000, side=20.0, r_max=1.0, seed=17, family=family
+        )
+        for k, start in enumerate(range(0, len(events), 1500)):
+            engine.apply_batch(events[start:start + 1500])
+            want = self._legacy(engine)
+            # churn leaves holes: ids are neither a prefix nor contiguous
+            assert 0 < len(want["ids"]) < config.capacity
+            assert engine.active_nodes() == want["ids"]
+            assert all(type(i) is int for i in engine.active_nodes())
+            assert engine.max_interference() == want["max"]
+            assert engine.state_digest() == want["digest"]
+            assert engine.state_jsonable() == want["jsonable"]
+            assert engine.state_json() == want["json"]
+            assert json.dumps(
+                engine.state_jsonable(), separators=(",", ":")
+            ) == want["json"]
+
+    def test_empty_engine(self):
+        engine = StreamEngine(small_config())
+        want = self._legacy(engine)
+        assert engine.active_nodes() == []
+        assert engine.max_interference() == 0
+        assert engine.state_digest() == want["digest"]
+        assert engine.state_json() == want["json"] == '{"seq":0,"nodes":[]}'
