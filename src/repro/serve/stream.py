@@ -34,6 +34,7 @@ per-event interference deltas happen, amortized by the ingest task.
 from __future__ import annotations
 
 import asyncio
+import math
 from itertools import count
 
 from repro import obs
@@ -54,6 +55,19 @@ __all__ = ["StreamService"]
 #: Yield to the event loop after this many inline event applications, so
 #: one big stream_apply cannot starve other connections.
 _APPLY_YIELD_EVERY = 1000
+
+
+def _parse_region(region) -> tuple[float, float, float, float]:
+    """``[xmin, ymin, xmax, ymax]`` as four finite floats with
+    ``xmin <= xmax`` and ``ymin <= ymax``; ``ValueError`` otherwise."""
+    if not isinstance(region, (list, tuple)) or len(region) != 4:
+        raise ValueError("'region' must be [xmin, ymin, xmax, ymax]")
+    xmin, ymin, xmax, ymax = bounds = tuple(float(c) for c in region)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"region bounds must be finite, got {list(bounds)}")
+    if not (xmin <= xmax and ymin <= ymax):
+        raise ValueError("region must satisfy xmin <= xmax and ymin <= ymax")
+    return bounds
 
 
 class _Sub:
@@ -252,6 +266,10 @@ class StreamService:
         max_lag = params.get("max_lag", 0)
         if not isinstance(max_lag, int) or isinstance(max_lag, bool) or max_lag < 0:
             raise ValueError("max_lag must be a non-negative integer")
+        node = params.get("node")
+        region = params.get("region")
+        if node is None and region is not None:
+            region = _parse_region(region)
         if self.lag > max_lag:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self.config.stream_read_wait_s
@@ -268,36 +286,24 @@ class StreamService:
         self.stats["stream_reads"] += 1
         obs.count("stream.serve.reads")
         out: dict = {"seq": engine.seq, "lag": self.lag}
-        node = params.get("node")
-        region = params.get("region")
         if node is not None:
             out["node"] = int(node)
             out["value"] = engine.interference_of(int(node))
         elif region is not None:
-            xmin, ymin, xmax, ymax = (float(c) for c in region)
-            out["nodes"] = [
-                [v, c] for v, c in engine.region_read(xmin, ymin, xmax, ymax)
-            ]
+            out["nodes"] = [[v, c] for v, c in engine.region_read(*region)]
         else:
             out["n_active"] = engine.n_active
             out["max_interference"] = engine.max_interference()
         return out
 
     def _subscribe(self, params: dict, writer, wlock) -> dict:
-        region = params.get("region")
-        if not isinstance(region, (list, tuple)) or len(region) != 4:
-            raise ValueError(
-                "stream_subscribe needs 'region': [xmin, ymin, xmax, ymax]"
-            )
+        region = _parse_region(params.get("region"))
         if len(self._subs) >= self.config.stream_max_subscriptions:
             raise ValueError(
                 f"subscription cap {self.config.stream_max_subscriptions} reached"
             )
-        xmin, ymin, xmax, ymax = (float(c) for c in region)
-        if not (xmin <= xmax and ymin <= ymax):
-            raise ValueError("region must satisfy xmin <= xmax and ymin <= ymax")
         sub_id = next(self._sub_ids)
-        self._subs[sub_id] = _Sub(sub_id, (xmin, ymin, xmax, ymax), writer, wlock)
+        self._subs[sub_id] = _Sub(sub_id, region, writer, wlock)
         self.stats["stream_subscriptions"] += 1
         obs.count("stream.serve.subscriptions")
         # the starting snapshot: counts in-region as of the current seq,
@@ -305,10 +311,7 @@ class StreamService:
         return {
             "sub": sub_id,
             "seq": self._engine.seq,
-            "nodes": [
-                [v, c]
-                for v, c in self._engine.region_read(xmin, ymin, xmax, ymax)
-            ],
+            "nodes": [[v, c] for v, c in self._engine.region_read(*region)],
         }
 
     def _unsubscribe(self, params: dict) -> dict:

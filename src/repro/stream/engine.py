@@ -13,11 +13,15 @@ receiver-centric coverage counts ``I(v)`` under ``join``/``leave``/
   the active nodes. Because every radius is bounded by ``r_max``, both
   directions of an event's delta (who the node now covers, who covers
   the node) are confined to the cells overlapping a ``±r_max`` window
-  around it — at this cell size a 1x1 or 2x2 block, which cuts the
+  around it — at this cell size at most a 2x2 block, which cuts the
   per-event probe count (cell lookups) to roughly a third of the
   classic cell-size-``r_max`` 3x3 scan while probing the same area.
   This is the O(1)-neighbourhood argument of Korman's bounded-radius
   formulation;
+- one scalar delta loop (:meth:`StreamEngine._apply_scalar`) applies
+  every event, whether it comes through :meth:`~StreamEngine.apply` or
+  :meth:`~StreamEngine.apply_many`; large batches over a dense active
+  set take a vectorized bulk tier instead, with identical results;
 - coverage uses *exact* squared-distance comparison (``dx*dx + dy*dy <=
   r*r``, no tolerance): determinism is the point, since recovery must
   replay to a bit-identical state. :func:`recompute_counts` reproduces
@@ -30,6 +34,8 @@ recovery) wraps it in :mod:`repro.stream.durable`.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,37 +71,63 @@ class AppliedEvent:
 
 _GRID_STRIDE = 1 << 32
 
+
+def _window_keys(x: float, y: float, reach: float, inv: float) -> tuple:
+    """Grid keys of the cells overlapping the square ``x ± reach``,
+    ``y ± reach``, column by column (``inv`` is the inverse cell size).
+
+    A delta window is ``2 * (r + pad) < 3 * r_max`` wide, under one cell,
+    so it spans at most 2 cells per axis: the 1x1, 1x2, 2x1 and 2x2
+    blocks come back as literal tuples (~6x cheaper than a generator).
+    The comprehension is the fallback for the rest, e.g. |coord| near
+    2**50 cells, where rounding by an ulp can widen the integer span.
+    """
+    cx0 = int((x - reach) * inv)
+    cx1 = int((x + reach) * inv)
+    cy0 = int((y - reach) * inv)
+    cy1 = int((y + reach) * inv)
+    b0 = cx0 * _GRID_STRIDE
+    if cx1 == cx0:
+        if cy1 == cy0:
+            return (b0 + cy0,)
+        if cy1 == cy0 + 1:
+            return (b0 + cy0, b0 + cy1)
+    elif cx1 == cx0 + 1:
+        b1 = b0 + _GRID_STRIDE
+        if cy1 == cy0:
+            return (b0 + cy0, b1 + cy0)
+        if cy1 == cy0 + 1:
+            return (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
+    return tuple(
+        cx * _GRID_STRIDE + cy
+        for cx in range(cx0, cx1 + 1)
+        for cy in range(cy0, cy1 + 1)
+    )
+
 #: Below this many events per :meth:`StreamEngine.apply_many` call the
-#: inlined scalar loop wins; at or above it (and when the batch is large
+#: scalar delta loop wins; at or above it (and when the batch is large
 #: relative to the active set) the vectorized bulk path amortizes its
 #: fixed numpy costs (state mirror, two grid builds) over the batch.
 _BULK_MIN_EVENTS = 512
 
 
-def _candidate_pairs(index, centers, radii):
-    """All ``(query, point)`` candidate pairs whose grid cells overlap each
-    query's bounding box — *no* distance predicate applied (the bulk path
-    applies the engine's exact squared-distance test itself, which is why
-    it cannot use :meth:`GridIndex._batch_hits`'s ``hypot`` predicate)."""
+def _exact_disk_pairs(index, centers, radii, point_radii=None):
+    """``(query, point)`` pairs within each query's ``radii`` under the
+    engine's exact predicate ``dx*dx + dy*dy <= r*r``, where ``r`` is the
+    query's radius, or the point's when ``point_radii`` is given (who
+    covers the query). Not ``hypot``, and so not
+    :meth:`GridIndex._batch_hits`: replay determinism requires
+    bit-compatibility with the scalar delta loop."""
     qs = [np.empty(0, dtype=np.int64)]
     ps = [np.empty(0, dtype=np.int64)]
     if len(index):
         for q, t in index._candidates(centers[:, 0], centers[:, 1], radii):
             qs.append(q)
             ps.append(index._order[t])
-    return np.concatenate(qs), np.concatenate(ps)
-
-
-def _exact_disk_pairs(index, centers, radii):
-    """``(query, point)`` hit pairs under the engine's exact predicate
-    ``dx*dx + dy*dy <= r*r`` (not ``hypot``: replay determinism requires
-    bit-compatibility with the scalar event loop)."""
-    qq, cand = _candidate_pairs(index, centers, radii)
-    if qq.size == 0:
-        return qq, cand
+    qq, cand = np.concatenate(qs), np.concatenate(ps)
     dx = index.positions[cand, 0] - centers[qq, 0]
     dy = index.positions[cand, 1] - centers[qq, 1]
-    r = radii[qq]
+    r = radii[qq] if point_radii is None else point_radii[cand]
     keep = dx * dx + dy * dy <= r * r
     return qq[keep], cand[keep]
 
@@ -160,17 +192,41 @@ class StreamEngine:
         self, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> list[tuple[int, int]]:
         """``(node, count)`` for active nodes inside the closed rectangle,
-        in node-id order; touches only the overlapping grid cells."""
+        in node-id order. Probes the overlapped grid cells, or, when they
+        outnumber the grid's buckets, filters the buckets instead: a read
+        never costs more than one pass over the grid, whatever its area.
+        Non-finite bounds raise :class:`StreamStateError`."""
         inv = self._inv
-        out: list[tuple[int, int]] = []
         grid = self._grid
+        try:
+            cx0, cx1 = int(xmin * inv), int(xmax * inv)
+            cy0, cy1 = int(ymin * inv), int(ymax * inv)
+        except (OverflowError, ValueError):
+            bounds = (xmin, ymin, xmax, ymax)
+            if not all(map(math.isfinite, bounds)):
+                raise StreamStateError(
+                    f"region bounds must be finite, got {bounds}"
+                ) from None
+            n_cells = math.inf  # past float range in cell units
+        else:
+            # an inverted rectangle matches nothing on either path
+            n_cells = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
         xs, ys, counts = self.xs, self.ys, self.counts
-        for cx in range(int(xmin * inv), int(xmax * inv) + 1):
-            base = cx * _GRID_STRIDE
-            for cy in range(int(ymin * inv), int(ymax * inv) + 1):
-                for v in grid.get(base + cy, ()):
-                    if xmin <= xs[v] <= xmax and ymin <= ys[v] <= ymax:
-                        out.append((v, counts[v]))
+        if n_cells > len(grid):  # fewer occupied buckets than cells
+            out = [
+                (v, counts[v])
+                for bucket in grid.values()
+                for v in bucket
+                if xmin <= xs[v] <= xmax and ymin <= ys[v] <= ymax
+            ]
+        else:
+            out = []
+            for cx in range(cx0, cx1 + 1):
+                base = cx * _GRID_STRIDE
+                for cy in range(cy0, cy1 + 1):
+                    for v in grid.get(base + cy, ()):
+                        if xmin <= xs[v] <= xmax and ymin <= ys[v] <= ymax:
+                            out.append((v, counts[v]))
         out.sort()
         return out
 
@@ -184,46 +240,45 @@ class StreamEngine:
         ``seq`` (when given, e.g. during WAL replay) must be exactly
         ``self.seq + 1`` — replay is contiguous by construction, and a
         gap means the log lost records.
+
+        With ``collect``, ``changed`` lists the covered hits in scan
+        order (see :meth:`_apply_scalar`). A move's halves fold into its
+        net change, sorted by node: a node hit by both the retraction
+        (-1) and the new disk (+1) did not change and is not listed.
         """
         if seq is not None and seq != self.seq + 1:
             raise StreamStateError(
                 f"non-contiguous seq {seq} (engine at {self.seq})"
             )
-        kind = event.kind
-        if kind == "join":
-            changed = self._apply_join(
-                event.node, event.x, event.y, event.r, collect
-            )
-        elif kind == "leave":
-            changed = self._apply_leave(event.node, collect)
-        else:
-            changed = self._apply_move(
-                event.node, event.x, event.y, event.r, collect
-            )
-        self.seq += 1
-        return AppliedEvent(
-            self.seq, event, tuple(changed) if changed is not None else None
-        )
+        if not collect:
+            return AppliedEvent(self._apply_scalar((event,), None), event, None)
+        changed: list[tuple[int, int]] = []
+        seq = self._apply_scalar((event,), changed)
+        if event.kind == "move":
+            net: dict[int, int] = {}
+            for v, c in changed:  # a second sighting cancels the first
+                if net.pop(v, None) is None:
+                    net[v] = c
+            changed = sorted(net.items())
+        return AppliedEvent(seq, event, tuple(changed))
 
     def apply_fast(self, event: StreamEvent) -> int:
-        """Apply one event with no delta collection or result object;
-        returns the event's seqno. The hot ingest path — semantically
-        ``self.apply(event, collect=False).seq``."""
-        kind = event.kind
-        if kind == "join":
-            self._apply_join(event.node, event.x, event.y, event.r, False)
-        elif kind == "leave":
-            self._apply_leave(event.node, False)
-        else:
-            self._apply_move(event.node, event.x, event.y, event.r, False)
-        seq = self.seq + 1
-        self.seq = seq
-        return seq
+        """Deprecated (removed in 3.0.0): use :meth:`apply_many` or
+        ``apply(event, collect=False)``, which this calls."""
+        warnings.warn(
+            "StreamEngine.apply_fast is deprecated (removed in 3.0.0); use "
+            "apply_many(events) or apply(event, collect=False)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return self.apply(event, collect=False).seq
 
     def apply_batch(
         self, events, *, collect: bool = False
     ) -> list[AppliedEvent]:
-        """Apply events in order (the hot path: deltas off by default)."""
+        """Apply events in order, one :class:`AppliedEvent` each (deltas
+        off by default). Bulk ingest that needs no per-event results
+        should call :meth:`apply_many`."""
         out = [self.apply(e, collect=collect) for e in events]
         obs.count("stream.events", len(out))
         return out
@@ -231,24 +286,14 @@ class StreamEngine:
     def apply_many(self, events) -> int:
         """Bulk-apply; returns the final seqno.
 
-        Semantically ``for e in events: self.apply(e, collect=False)`` —
-        bit-identical state (same digests), same
-        :class:`StreamStateError` rejections — but substantially faster,
-        which is what lets the durable ingest path hold its throughput
-        floor (``benchmarks/bench_stream.py``). On a rejection the
-        applied prefix stands, ``self.seq`` included.
-
-        Two tiers: batches that are large (>= ``_BULK_MIN_EVENTS``, and
-        not small relative to the active set) over a *dense* active set
-        (>= ~4 nodes per grid cell, where per-event coverage updates —
-        not event parsing — dominate the scalar loop) take a vectorized
-        path: final counts are a pure function of the final active set,
-        so the batch collapses to a membership simulation plus three
-        fused array delta passes (see :meth:`_apply_many_bulk`).
-        Everything else runs the inlined scalar loop, which wins in
-        sparse regimes (measured: bulk is ~2x at >= 13 nodes/unit^2 with
-        ``r_max = 1`` and ~2x *slower* at 0.03 nodes/unit^2 — see
-        docs/PERFORMANCE.md).
+        Semantically ``for e in events: self.apply(e, collect=False)``:
+        the same state (same digests) and the same
+        :class:`StreamStateError` rejections, after which the applied
+        prefix stands, ``self.seq`` included. Large batches (>=
+        ``_BULK_MIN_EVENTS``, not small beside the active set) over a
+        dense active set (>= ~4 nodes per grid cell) take the vectorized
+        :meth:`_apply_many_bulk`; the rest run :meth:`_apply_scalar`,
+        which wins in sparse regimes (docs/PERFORMANCE.md).
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
@@ -260,19 +305,27 @@ class StreamEngine:
             seq = self._apply_many_bulk(events)
             if seq is not None:
                 return seq
-        return self._apply_many_scalar(events)
+        return self._apply_scalar(events, None)
 
-    def _apply_many_scalar(self, events) -> int:
-        """The inlined per-event loop (zero per-event allocation)."""
+    def _apply_scalar(self, events, changed: list | None) -> int:
+        """The engine's one per-event delta loop; returns the final seqno.
+
+        Each event is validated before it mutates anything, so a
+        rejection leaves exactly the applied prefix (``self.seq``
+        included). A list ``changed`` receives ``(v, new_count)`` at each
+        covered hit, retractions first, then a join's (or a move's
+        second half's) hits and the node's own fresh count.
+        """
         self._np = None
         xs, ys, rs = self.xs, self.ys, self.rs
         counts, active, grid = self.counts, self.active, self._grid
         get = grid.get
+        window = _window_keys
         inv = self._inv
         cap = self.config.capacity
         r_max = self.config.r_max
-        rpad = r_max + self._pad
         pad = self._pad
+        rpad = r_max + pad
         S = _GRID_STRIDE
         seq = self.seq
         n_active = self.n_active
@@ -294,152 +347,23 @@ class StreamEngine:
                         raise StreamStateError(
                             f"join of already-active node {node}"
                         )
-                elif kind == "leave":
+                else:
                     if not active[node]:
-                        raise StreamStateError(f"leave of inactive node {node}")
-                    x, y, r = xs[node], ys[node], rs[node]
-                    grid[int(x * inv) * S + int(y * inv)].remove(node)
-                    r2 = r * r
-                    reach = r + pad
-                    cx0 = int((x - reach) * inv)
-                    cx1 = int((x + reach) * inv)
-                    cy0 = int((y - reach) * inv)
-                    cy1 = int((y + reach) * inv)
-                    dxc = cx1 - cx0
-                    dyc = cy1 - cy0
-                    if dxc > 2 or dyc > 2:
-                        ks = tuple(
-                            cx * S + cy
-                            for cx in range(cx0, cx1 + 1)
-                            for cy in range(cy0, cy1 + 1)
-                        )
-                    else:
-                        # spans of 1-3 cells per axis cover every window up to
-                        # 2*(r_max + pad) wide; literal tuples here are ~6x cheaper
-                        # than the genexpr (no generator frame per event)
-                        b0 = cx0 * S
-                        if dxc == 0:
-                            if dyc == 0:
-                                ks = (b0 + cy0,)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1)
-                            else:
-                                ks = (b0 + cy0, b0 + cy0 + 1, b0 + cy1)
-                        elif dxc == 1:
-                            b1 = b0 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                )
-                        else:
-                            b1 = b0 + S
-                            b2 = b1 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0, b2 + cy0)
-                            elif dyc == 1:
-                                ks = (
-                                    b0 + cy0, b0 + cy1,
-                                    b1 + cy0, b1 + cy1,
-                                    b2 + cy0, b2 + cy1,
-                                )
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                    b2 + cy0, b2 + cym, b2 + cy1,
-                                )
-                    for k in ks:
-                        bucket = get(k)
-                        if bucket:
-                            for v in bucket:
-                                dx = xs[v] - x
-                                dy = ys[v] - y
-                                if dx * dx + dy * dy <= r2:
-                                    counts[v] -= 1
-                    counts[node] = 0
-                    rs[node] = 0.0
-                    active[node] = 0
-                    n_active -= 1
-                    seq += 1
-                    continue
-                else:  # move == atomic leave + join (kind is validated)
-                    if not active[node]:
-                        raise StreamStateError(f"move of inactive node {node}")
-                    x, y, r = event.x, event.y, event.r
-                    if r is None:
-                        r = rs[node]
-                    if r < 0 or r > r_max:
-                        raise StreamStateError(
-                            f"radius {r} outside [0, r_max={r_max}]"
-                        )
-                    # leave half: retract the old disk's coverage
-                    ox, oy = xs[node], ys[node]
-                    orr = rs[node]
+                        raise StreamStateError(f"{kind} of inactive node {node}")
+                    if kind == "move":  # an atomic leave + join
+                        x, y, r = event.x, event.y, event.r
+                        if r is None:
+                            r = rs[node]
+                        if r < 0 or r > r_max:
+                            raise StreamStateError(
+                                f"radius {r} outside [0, r_max={r_max}]"
+                            )
+                    # retract the current disk: only the node's own
+                    # coverage goes, so the window is its own radius
+                    ox, oy, orr = xs[node], ys[node], rs[node]
                     grid[int(ox * inv) * S + int(oy * inv)].remove(node)
                     r2 = orr * orr
-                    reach = orr + pad
-                    cx0 = int((ox - reach) * inv)
-                    cx1 = int((ox + reach) * inv)
-                    cy0 = int((oy - reach) * inv)
-                    cy1 = int((oy + reach) * inv)
-                    dxc = cx1 - cx0
-                    dyc = cy1 - cy0
-                    if dxc > 2 or dyc > 2:
-                        ks = tuple(
-                            cx * S + cy
-                            for cx in range(cx0, cx1 + 1)
-                            for cy in range(cy0, cy1 + 1)
-                        )
-                    else:
-                        # spans of 1-3 cells per axis cover every window up to
-                        # 2*(r_max + pad) wide; literal tuples here are ~6x cheaper
-                        # than the genexpr (no generator frame per event)
-                        b0 = cx0 * S
-                        if dxc == 0:
-                            if dyc == 0:
-                                ks = (b0 + cy0,)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1)
-                            else:
-                                ks = (b0 + cy0, b0 + cy0 + 1, b0 + cy1)
-                        elif dxc == 1:
-                            b1 = b0 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0)
-                            elif dyc == 1:
-                                ks = (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                )
-                        else:
-                            b1 = b0 + S
-                            b2 = b1 + S
-                            if dyc == 0:
-                                ks = (b0 + cy0, b1 + cy0, b2 + cy0)
-                            elif dyc == 1:
-                                ks = (
-                                    b0 + cy0, b0 + cy1,
-                                    b1 + cy0, b1 + cy1,
-                                    b2 + cy0, b2 + cy1,
-                                )
-                            else:
-                                cym = cy0 + 1
-                                ks = (
-                                    b0 + cy0, b0 + cym, b0 + cy1,
-                                    b1 + cy0, b1 + cym, b1 + cy1,
-                                    b2 + cy0, b2 + cym, b2 + cy1,
-                                )
-                    for k in ks:
+                    for k in window(ox, oy, orr + pad, inv):
                         bucket = get(k)
                         if bucket:
                             for v in bucket:
@@ -447,69 +371,22 @@ class StreamEngine:
                                 dy = ys[v] - oy
                                 if dx * dx + dy * dy <= r2:
                                     counts[v] -= 1
+                                    if changed is not None:
+                                        changed.append((v, counts[v]))
                     active[node] = 0
                     n_active -= 1
-                # join (for both "join" and the second half of "move"):
-                # node is not in any bucket here, so the scan never sees
-                # it. Both delta directions are bounded by r_max, so the
-                # window is ±r_max regardless of the joining radius.
+                    if kind == "leave":
+                        counts[node] = 0
+                        rs[node] = 0.0
+                        seq += 1
+                        continue
+                # join (a join, or the second half of a move): the node is
+                # in no bucket here, so the scan never sees it. Both delta
+                # directions are bounded by r_max, so the window is ±r_max
+                # whatever the joining radius.
                 r2 = r * r
                 own = 0
-                cx0 = int((x - rpad) * inv)
-                cx1 = int((x + rpad) * inv)
-                cy0 = int((y - rpad) * inv)
-                cy1 = int((y + rpad) * inv)
-                dxc = cx1 - cx0
-                dyc = cy1 - cy0
-                if dxc > 2 or dyc > 2:
-                    ks = tuple(
-                        cx * S + cy
-                        for cx in range(cx0, cx1 + 1)
-                        for cy in range(cy0, cy1 + 1)
-                    )
-                else:
-                    # spans of 1-3 cells per axis cover every window up to
-                    # 2*(r_max + pad) wide; literal tuples here are ~6x cheaper
-                    # than the genexpr (no generator frame per event)
-                    b0 = cx0 * S
-                    if dxc == 0:
-                        if dyc == 0:
-                            ks = (b0 + cy0,)
-                        elif dyc == 1:
-                            ks = (b0 + cy0, b0 + cy1)
-                        else:
-                            ks = (b0 + cy0, b0 + cy0 + 1, b0 + cy1)
-                    elif dxc == 1:
-                        b1 = b0 + S
-                        if dyc == 0:
-                            ks = (b0 + cy0, b1 + cy0)
-                        elif dyc == 1:
-                            ks = (b0 + cy0, b0 + cy1, b1 + cy0, b1 + cy1)
-                        else:
-                            cym = cy0 + 1
-                            ks = (
-                                b0 + cy0, b0 + cym, b0 + cy1,
-                                b1 + cy0, b1 + cym, b1 + cy1,
-                            )
-                    else:
-                        b1 = b0 + S
-                        b2 = b1 + S
-                        if dyc == 0:
-                            ks = (b0 + cy0, b1 + cy0, b2 + cy0)
-                        elif dyc == 1:
-                            ks = (
-                                b0 + cy0, b0 + cy1,
-                                b1 + cy0, b1 + cy1,
-                                b2 + cy0, b2 + cy1,
-                            )
-                        else:
-                            cym = cy0 + 1
-                            ks = (
-                                b0 + cy0, b0 + cym, b0 + cy1,
-                                b1 + cy0, b1 + cym, b1 + cy1,
-                                b2 + cy0, b2 + cym, b2 + cy1,
-                            )
-                for k in ks:
+                for k in window(x, y, rpad, inv):
                     bucket = get(k)
                     if bucket:
                         for v in bucket:
@@ -518,6 +395,8 @@ class StreamEngine:
                             d2 = dx * dx + dy * dy
                             if d2 <= r2:
                                 counts[v] += 1
+                                if changed is not None:
+                                    changed.append((v, counts[v]))
                             rv = rs[v]
                             if d2 <= rv * rv:
                                 own += 1
@@ -533,6 +412,8 @@ class StreamEngine:
                     grid[key] = [node]
                 else:
                     bucket.append(node)
+                if changed is not None:
+                    changed.append((node, own))
                 seq += 1
         finally:
             self.seq = seq
@@ -600,17 +481,11 @@ class StreamEngine:
                 st[node] = (event.x, event.y, r)
 
         # -- mirror + index inputs -----------------------------------------
-        mirror = self._np
-        if mirror is None:
-            mirror = (
-                np.asarray(xs, dtype=np.float64),
-                np.asarray(ys, dtype=np.float64),
-                np.asarray(rs, dtype=np.float64),
-            )
-        mx, my, mr = mirror
-        ids0 = np.flatnonzero(
-            np.frombuffer(bytes(active), dtype=np.uint8)
+        mirror = self._np or tuple(
+            np.asarray(a, dtype=np.float64) for a in (xs, ys, rs)
         )
+        mx, my, mr = mirror
+        ids0 = self._active_ids()
         t_init = [t for t in st if active[t]]
         t_fin = [t for t in st if st[t] is not None]
         fin_mask = np.zeros(cap, dtype=bool)
@@ -620,9 +495,9 @@ class StreamEngine:
         ids_f = np.flatnonzero(fin_mask)
 
         pos0 = np.column_stack((mx[ids0], my[ids0]))
-        fx = np.array([st[t][0] for t in t_fin], dtype=np.float64)
-        fy = np.array([st[t][1] for t in t_fin], dtype=np.float64)
-        fr = np.array([st[t][2] for t in t_fin], dtype=np.float64)
+        fx, fy, fr = np.array(
+            [st[t] for t in t_fin], dtype=np.float64
+        ).reshape(-1, 3).T
         pos_f = np.column_stack((mx[ids_f], my[ids_f]))
         r_f = mr[ids_f].copy()
         if t_fin:
@@ -666,16 +541,11 @@ class StreamEngine:
         if t_fin and index_f is not None:
             # candidates within +-r_max of each survivor; covered iff the
             # *candidate's* disk reaches (reverse direction of 2a/2b)
-            centers = np.column_stack((fx, fy))
-            qq, cand = _candidate_pairs(
-                index_f, centers, np.full(len(t_fin), r_max)
+            qq, _ = _exact_disk_pairs(
+                index_f, np.column_stack((fx, fy)),
+                np.full(len(t_fin), r_max), point_radii=r_f,
             )
-            if qq.size:
-                dx = pos_f[cand, 0] - centers[qq, 0]
-                dy = pos_f[cand, 1] - centers[qq, 1]
-                rc = r_f[cand]
-                keep = dx * dx + dy * dy <= rc * rc
-                own += np.bincount(qq[keep], minlength=len(t_fin))
+            own += np.bincount(qq, minlength=len(t_fin))
             own -= 1  # each survivor's own disk trivially covers itself
 
         # -- 3: commit ------------------------------------------------------
@@ -684,7 +554,6 @@ class StreamEngine:
         n_active = self.n_active
         for v in np.flatnonzero(delta):
             counts[v] += int(delta[v])
-        get = grid.get
         for j, t in enumerate(t_fin):
             st[t] = (*st[t], int(own[j]))
         for t, fin in st.items():
@@ -707,141 +576,11 @@ class StreamEngine:
                 counts[t] = c
                 active[t] = 1
                 n_active += 1
-                key = int(x * inv) * S + int(y * inv)
-                bucket = get(key)
-                if bucket is None:
-                    grid[key] = [t]
-                else:
-                    bucket.append(t)
+                grid.setdefault(int(x * inv) * S + int(y * inv), []).append(t)
         self.n_active = n_active
         self.seq += len(events)
         self._np = mirror
         return self.seq
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.config.capacity:
-            raise StreamStateError(
-                f"node {node} outside universe [0, {self.config.capacity})"
-            )
-
-    def _check_radius(self, r: float) -> None:
-        if r < 0 or r > self.config.r_max:
-            raise StreamStateError(
-                f"radius {r} outside [0, r_max={self.config.r_max}]"
-            )
-
-    def _apply_join(self, node, x, y, r, collect):
-        self._check_node(node)
-        self._check_radius(r)
-        if self.active[node]:
-            raise StreamStateError(f"join of already-active node {node}")
-        self._np = None
-        xs, ys, rs, counts = self.xs, self.ys, self.rs, self.counts
-        inv = self._inv
-        grid = self._grid
-        get = grid.get
-        key = int(x * inv) * _GRID_STRIDE + int(y * inv)
-        r2 = r * r
-        own = 0
-        changed = [] if collect else None
-        # both delta directions are bounded by r_max, so scan the cells
-        # overlapping the ±r_max window around the join site
-        reach = self.config.r_max + self._pad
-        cx0, cx1 = int((x - reach) * inv), int((x + reach) * inv)
-        cy0, cy1 = int((y - reach) * inv), int((y + reach) * inv)
-        for cx in range(cx0, cx1 + 1):
-            base = cx * _GRID_STRIDE
-            for k in range(base + cy0, base + cy1 + 1):
-                bucket = get(k)
-                if not bucket:
-                    continue
-                for v in bucket:
-                    dx = xs[v] - x
-                    dy = ys[v] - y
-                    d2 = dx * dx + dy * dy
-                    if d2 <= r2:
-                        counts[v] += 1
-                        if collect:
-                            changed.append((v, counts[v]))
-                    rv = rs[v]
-                    if d2 <= rv * rv:
-                        own += 1
-        xs[node] = x
-        ys[node] = y
-        rs[node] = r
-        counts[node] = own
-        self.active[node] = 1
-        self.n_active += 1
-        bucket = get(key)
-        if bucket is None:
-            grid[key] = [node]
-        else:
-            bucket.append(node)
-        if collect:
-            changed.append((node, own))
-        return changed
-
-    def _apply_leave(self, node, collect):
-        self._check_node(node)
-        if not self.active[node]:
-            raise StreamStateError(f"leave of inactive node {node}")
-        self._np = None
-        xs, ys, counts = self.xs, self.ys, self.counts
-        x, y, r = xs[node], ys[node], self.rs[node]
-        inv = self._inv
-        grid = self._grid
-        get = grid.get
-        key = int(x * inv) * _GRID_STRIDE + int(y * inv)
-        grid[key].remove(node)
-        r2 = r * r
-        changed = [] if collect else None
-        # a leave only retracts the node's *own* coverage: the window is
-        # its own radius, usually tighter than r_max
-        reach = r + self._pad
-        cx0, cx1 = int((x - reach) * inv), int((x + reach) * inv)
-        cy0, cy1 = int((y - reach) * inv), int((y + reach) * inv)
-        for cx in range(cx0, cx1 + 1):
-            base = cx * _GRID_STRIDE
-            for k in range(base + cy0, base + cy1 + 1):
-                bucket = get(k)
-                if not bucket:
-                    continue
-                for v in bucket:
-                    dx = xs[v] - x
-                    dy = ys[v] - y
-                    if dx * dx + dy * dy <= r2:
-                        counts[v] -= 1
-                        if collect:
-                            changed.append((v, counts[v]))
-        counts[node] = 0
-        self.rs[node] = 0.0
-        self.active[node] = 0
-        self.n_active -= 1
-        return changed
-
-    def _apply_move(self, node, x, y, r, collect):
-        self._check_node(node)
-        if not self.active[node]:
-            raise StreamStateError(f"move of inactive node {node}")
-        if r is None:
-            r = self.rs[node]
-        self._check_radius(r)
-        if not collect:
-            self._apply_leave(node, False)
-            self._apply_join(node, x, y, r, False)
-            return None
-        counts = self.counts
-        # pre-move values of every node either half touches; leave/join
-        # changed lists carry post-op values, so reconstruct by +-1
-        pre = {node: counts[node]}
-        for v, c in self._apply_leave(node, True):
-            pre.setdefault(v, c + 1)
-        for v, c in self._apply_join(node, x, y, r, True):
-            if v != node:
-                pre.setdefault(v, c - 1)
-        return [
-            (v, counts[v]) for v in sorted(pre) if v == node or counts[v] != pre[v]
-        ]
 
     # -- from-scratch verification ----------------------------------------
 

@@ -2,6 +2,7 @@
 per-region delta pushes, and durable restart recovery."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -239,6 +240,78 @@ class TestSubscriptions:
                     return info.value.code
 
         assert run(scenario()) == "bad_request"
+
+
+class TestRegions:
+    def test_whole_plane_read_matches_bruteforce(self):
+        events = events_for(120, capacity=64, family="clustered")
+        box = (-1e12, -1e12, 1e12, 1e12)
+
+        async def scenario():
+            async with InterferenceServer(thread_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    await client.stream_init(capacity=64, r_max=1.0)
+                    await client.stream_apply(events, ack="applied")
+                    read = await client.stream_read(region=box, max_lag=0)
+                    sub, _ = await client.stream_subscribe(box)
+                    return read["nodes"], sub["nodes"]
+
+        read, sub = run(scenario())
+        reference = StreamEngine(StreamConfig(capacity=64, r_max=1.0))
+        reference.apply_batch(events)
+        want = [[v, reference.counts[v]] for v in reference.active_nodes()]
+        assert read == sub == want
+
+    @pytest.mark.parametrize(
+        "kind", ["stream_read", "stream_subscribe"]
+    )
+    @pytest.mark.parametrize(
+        "region",
+        [
+            ["-inf", 0, 1, 1],
+            [0, 0, "inf", 1],
+            [0, "nan", 1, 1],
+            [0, 0, 1],
+            [2, 0, 1, 1],
+        ],
+    )
+    def test_bad_regions_are_bad_requests(self, kind, region):
+        async def scenario():
+            async with InterferenceServer(thread_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    await client.stream_init(capacity=32, r_max=1.0)
+                    with pytest.raises(ServeError) as info:
+                        await client.request(kind, {"region": region})
+                    return info.value.code
+
+        assert run(scenario()) == "bad_request"
+
+    def test_json_infinity_and_nan_literals_are_bad_requests(self):
+        # Python's JSON decoder accepts the non-standard Infinity / NaN
+        # tokens, so a non-Python client can send a non-finite bound
+        async def scenario():
+            async with InterferenceServer(thread_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    await client.stream_init(capacity=32, r_max=1.0)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                codes = []
+                for i, token in enumerate(("-Infinity", "NaN")):
+                    writer.write(
+                        b'{"id":%d,"type":"stream_read","params":'
+                        b'{"region":[%s,0,1,1]}}\n' % (i, token.encode())
+                    )
+                    await writer.drain()
+                    codes.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                return codes
+
+        for reply in run(scenario()):
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad_request"
+            assert "finite" in reply["error"]["message"]
 
 
 class TestDurableLane:

@@ -128,6 +128,27 @@ class TestValidation:
             engine.apply(StreamEvent("join", 1, 1.0, 1.0, 1.0), seq=3)
 
 
+class TestApplyFastShim:
+    def test_warns_and_matches_apply(self):
+        events = random_stream_events(
+            200, capacity=64, side=5.0, r_max=1.0, seed=12, family="mobile"
+        )
+        shim = StreamEngine(small_config())
+        plain = StreamEngine(small_config())
+        for ev in events:
+            with pytest.warns(DeprecationWarning, match="apply_many"):
+                seq = shim.apply_fast(ev)
+            assert seq == plain.apply(ev, collect=False).seq
+        assert shim.state_digest() == plain.state_digest()
+
+    def test_rejection_passes_through(self):
+        engine = StreamEngine(small_config())
+        with pytest.warns(DeprecationWarning):
+            with pytest.raises(StreamStateError, match="leave of inactive node 3"):
+                engine.apply_fast(StreamEvent("leave", 3))
+        assert engine.seq == 0
+
+
 class TestExactness:
     @pytest.mark.parametrize("family", EVENT_FAMILIES)
     def test_incremental_matches_vectorized_recount(self, family):
@@ -159,6 +180,53 @@ class TestExactness:
             and box[1] <= engine.ys[v] <= box[3]
         )
         assert engine.region_read(*box) == expected
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (-3000.0, -3000.0, 3000.0, 3000.0),
+            (-1e9, -1e9, 1e9, 1e9),
+            (-1e308, -1e308, 1e308, 1e308),
+            (-1e9, 2.0, 1e9, 2.5),  # a wide, thin strip
+            (4.0, 4.0, 1.0, 1.0),  # inverted: empty
+        ],
+    )
+    def test_region_read_of_any_area_matches_bruteforce(self, box):
+        # rectangles with more cells than the grid holds buckets scan the
+        # occupied buckets instead of every cell: a whole-plane read must
+        # return at once, identical to the brute-force filter
+        engine = StreamEngine(small_config(capacity=64))
+        for ev in random_stream_events(
+            150, capacity=64, side=6.0, r_max=1.0, seed=4, family="uniform"
+        ):
+            engine.apply(ev)
+        want = sorted(
+            (v, engine.counts[v])
+            for v in engine.active_nodes()
+            if box[0] <= engine.xs[v] <= box[2]
+            and box[1] <= engine.ys[v] <= box[3]
+        )
+        assert engine.region_read(*box) == want
+        assert bool(want) == (box[0] <= box[2])
+
+    def test_region_read_bounds_past_float_range_in_cell_units(self):
+        # r_max = 1e-3: a cell is 3e-3 wide, so 1e308 / cell overflows
+        engine = StreamEngine(small_config(r_max=1e-3))
+        engine.apply(StreamEvent("join", 0, 1.0, 1.0, 1e-3))
+        engine.apply(StreamEvent("join", 1, -1.0, 2.0, 1e-3))
+        box = (-1e308, -1e308, 1e308, 1e308)
+        assert engine.region_read(*box) == [(0, 0), (1, 0)]
+        assert engine.region_read(0.0, -1e308, 1e308, 1e308) == [(0, 0)]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_region_read_rejects_non_finite_bounds(self, bad):
+        engine = StreamEngine(small_config())
+        engine.apply(StreamEvent("join", 0, 0.0, 0.0, 1.0))
+        for i in range(4):
+            box = [0.0, 0.0, 1.0, 1.0]
+            box[i] = bad
+            with pytest.raises(StreamStateError, match="must be finite"):
+                engine.region_read(*box)
 
     def test_state_roundtrip_is_bit_identical(self):
         engine = StreamEngine(small_config(capacity=128))
