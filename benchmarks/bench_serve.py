@@ -4,7 +4,7 @@ Two acceptance bars from the serving-layer design:
 
 - **batching**: on small interference requests, coalescing into
   micro-batches must deliver >= 3x the throughput of per-request
-  process-pool dispatch, at equal-or-better p99 latency (the batch
+  process-worker dispatch, at equal-or-better p99 latency (the batch
   amortizes one socket+IPC round trip over up to 64 requests). Dispatch
   is work-conserving, so no linger is set: under the 64-client storm the
   backlog queued behind busy workers is what coalesces. The
@@ -18,7 +18,7 @@ Two acceptance bars from the serving-layer design:
 
 Each measurement takes best-of-N rounds — these are capacity numbers, and
 the container's scheduling noise is on the order of the effect otherwise.
-Single-round pedantic benchmarks: each round spawns process pools.
+Single-round pedantic benchmarks: each round forks worker processes.
 """
 
 import asyncio

@@ -1,18 +1,20 @@
-"""Forced shutdown for process pools — shared by the sweep runner and server.
+"""Forced shutdown for worker processes — shared by the sweep runner and server.
 
 ``ProcessPoolExecutor`` has no per-task kill switch: a worker stuck in a
 long computation keeps ``shutdown(wait=True)`` (and interpreter exit)
-blocked until the task returns. Both consumers of pools in this project —
-:func:`repro.runner.run_sweep` (task timeouts, Ctrl-C) and the serving
-layer (:mod:`repro.serve`, drain timeout) — need a way out that does not
-leak workers. :func:`terminate_pool` is that path: cancel everything still
-queued, terminate the worker processes, and join them with a bounded
-timeout (escalating to ``kill`` for survivors).
+blocked until the task returns. Both owners of worker processes in this
+project — :func:`repro.runner.run_sweep` (task timeouts, Ctrl-C) and the
+serving layer's worker pool (:mod:`repro.serve.workers`, drain timeout
+and worker death) — need a way out that does not leak workers.
+:func:`reap_processes` is that path over a list of processes: terminate
+them, and join each with a bounded timeout, escalating to ``kill`` for
+survivors. :func:`terminate_pool` applies it to a ``ProcessPoolExecutor``
+after cancelling everything still queued.
 
-It reaches into ``ProcessPoolExecutor._processes`` — a private attribute,
-but stable across CPython 3.8–3.13 and the only handle on the workers; the
-access is defensive so a future rename degrades to a plain non-blocking
-``shutdown`` instead of an AttributeError.
+:func:`terminate_pool` reaches into ``ProcessPoolExecutor._processes`` — a
+private attribute, but stable across CPython 3.8–3.13 and the only handle
+on the workers; the access is defensive so a future rename degrades to a
+plain non-blocking ``shutdown`` instead of an AttributeError.
 """
 
 from __future__ import annotations
@@ -23,20 +25,13 @@ from concurrent.futures import ProcessPoolExecutor
 _JOIN_TIMEOUT_S = 5.0
 
 
-def terminate_pool(
-    pool: ProcessPoolExecutor, *, join_timeout_s: float = _JOIN_TIMEOUT_S
-) -> int:
-    """Forcefully stop ``pool``, killing worker processes; returns the
-    number of processes terminated.
+def reap_processes(procs, *, join_timeout_s: float = _JOIN_TIMEOUT_S) -> int:
+    """Terminate → join → kill every ``multiprocessing.Process`` in
+    ``procs``; returns the number that were still alive to terminate.
 
-    Safe to call on an already-shut-down pool (no-op) and idempotent: a
-    second call finds no live processes. After this the pool object is
-    dead — submit raises, and a subsequent ``shutdown()`` returns
-    immediately.
+    Idempotent: already-exited (or already-reaped) processes are joined
+    and skipped.
     """
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    # Stop the feed: nothing queued may start, no new work accepted.
-    pool.shutdown(wait=False, cancel_futures=True)
     terminated = 0
     for proc in procs:
         try:
@@ -54,3 +49,20 @@ def terminate_pool(
         except (OSError, ValueError, AssertionError):
             pass
     return terminated
+
+
+def terminate_pool(
+    pool: ProcessPoolExecutor, *, join_timeout_s: float = _JOIN_TIMEOUT_S
+) -> int:
+    """Forcefully stop ``pool``, killing worker processes; returns the
+    number of processes terminated.
+
+    Safe to call on an already-shut-down pool (no-op) and idempotent: a
+    second call finds no live processes. After this the pool object is
+    dead — submit raises, and a subsequent ``shutdown()`` returns
+    immediately.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    # Stop the feed: nothing queued may start, no new work accepted.
+    pool.shutdown(wait=False, cancel_futures=True)
+    return reap_processes(procs, join_timeout_s=join_timeout_s)

@@ -43,6 +43,7 @@ both divergences and detected corruptions must be zero.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -526,24 +527,27 @@ def chaos_suite(
     target: str = "uniform",
 ) -> list[ChaosRunResult]:
     """``runs`` independent chaos cycles under ``base_dir`` (one subdir
-    each, left on disk for post-mortem when a run fails)."""
+    each, left on disk for post-mortem when a run fails and removed when
+    it passes, so a later suite into the same ``base_dir`` starts clean)."""
     base_dir = Path(base_dir)
     results = []
     for run in range(runs):
-        results.append(
-            chaos_run(
-                base_dir / f"run-{run:03d}",
-                run,
-                seed=seed,
-                n_events=n_events,
-                capacity=capacity,
-                side=side,
-                r_max=r_max,
-                mode=mode,
-                rate=rate,
-                target=target,
-            )
+        directory = base_dir / f"run-{run:03d}"
+        result = chaos_run(
+            directory,
+            run,
+            seed=seed,
+            n_events=n_events,
+            capacity=capacity,
+            side=side,
+            r_max=r_max,
+            mode=mode,
+            rate=rate,
+            target=target,
         )
+        if result.ok:
+            shutil.rmtree(directory, ignore_errors=True)
+        results.append(result)
     return results
 
 

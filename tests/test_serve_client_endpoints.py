@@ -6,12 +6,12 @@ first-reachable connect, round-robin failover under a retry policy, and
 redirect targets being adopted into the endpoint list.
 """
 
-import asyncio
 
 import pytest
 
 from repro.serve import InterferenceServer, RetryPolicy, ServeConfig
 from repro.serve.client import ServeClient
+from tests.conftest import run_loop
 
 
 def thread_server():
@@ -37,7 +37,7 @@ class TestConnect:
             finally:
                 await server.stop()
 
-        asyncio.run(scenario())
+        run_loop(scenario())
 
     def test_no_endpoint_reachable_reports_count(self):
         async def scenario():
@@ -46,7 +46,7 @@ class TestConnect:
                     endpoints=[("127.0.0.1", 1), ("127.0.0.1", 2)]
                 )
 
-        asyncio.run(scenario())
+        run_loop(scenario())
 
     def test_host_port_form_still_works(self):
         async def scenario():
@@ -62,7 +62,7 @@ class TestConnect:
             finally:
                 await server.stop()
 
-        asyncio.run(scenario())
+        run_loop(scenario())
 
 
 class TestFailover:
@@ -93,7 +93,7 @@ class TestFailover:
             finally:
                 await b.stop()
 
-        asyncio.run(scenario())
+        run_loop(scenario())
 
     def test_reconnect_cycles_through_endpoints(self):
         async def scenario():
@@ -119,7 +119,7 @@ class TestFailover:
                 await a.stop()
                 await b.stop()
 
-        asyncio.run(scenario())
+        run_loop(scenario())
 
     def test_single_endpoint_reconnect_stays_put(self):
         async def scenario():
@@ -137,7 +137,7 @@ class TestFailover:
             finally:
                 await server.stop()
 
-        asyncio.run(scenario())
+        run_loop(scenario())
 
 
 class TestRedirectAdoption:
@@ -163,4 +163,4 @@ class TestRedirectAdoption:
                 await a.stop()
                 await b.stop()
 
-        asyncio.run(scenario())
+        run_loop(scenario())

@@ -1,6 +1,5 @@
 """Tests for the seeded load generator and its SLO report."""
 
-import asyncio
 import json
 import math
 
@@ -15,6 +14,7 @@ from repro.serve import (
     percentile,
     run_loadgen,
 )
+from tests.conftest import run_loop
 
 
 def thread_config(**overrides) -> ServeConfig:
@@ -126,7 +126,7 @@ class TestDrivingLoops:
             async with InterferenceServer(thread_config()) as server:
                 return await run_loadgen(config, port=server.port)
 
-        report = asyncio.run(scenario())
+        report = run_loop(scenario())
         assert report.n_ok == 40
         assert report.protocol_errors == 0
         assert report.rejections == {}
@@ -150,7 +150,7 @@ class TestDrivingLoops:
             async with InterferenceServer(server_config) as server:
                 return await run_loadgen(config, port=server.port)
 
-        report = asyncio.run(scenario())
+        report = run_loop(scenario())
         assert report.protocol_errors == 0
         assert report.n_ok + sum(report.rejections.values()) == 60
         assert report.rejections.get("overloaded", 0) > 0

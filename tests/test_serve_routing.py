@@ -16,6 +16,7 @@ from repro.serve import ServeConfig
 from repro.serve.protocol import BATCHABLE_TYPES
 from repro.serve.routing import LaneRouter, RouteKey, Router
 from repro.serve.server import InterferenceServer
+from tests.conftest import run_loop
 
 
 def legacy_lane(counter, kind, params):
@@ -94,7 +95,7 @@ class TestLaneRouterDifferential:
 
 class TestServerRouterInjection:
     def _run(self, coro):
-        return asyncio.run(coro)
+        return run_loop(coro)
 
     def test_default_and_injected_router_agree(self):
         """A server with router=LaneRouter() is the default server."""
@@ -174,10 +175,10 @@ class TestServerRouterInjection:
             finally:
                 await server.stop()
 
-        solo = asyncio.run(batch_stats(SoloRouter()))
+        solo = run_loop(batch_stats(SoloRouter()))
         assert solo["max_batch_size"] == 1
         assert solo["batches"] == 7
-        lane = asyncio.run(batch_stats(LaneRouter()))
+        lane = run_loop(batch_stats(LaneRouter()))
         assert lane["max_batch_size"] >= 2
         assert lane["max_batch_size"] == 6
 

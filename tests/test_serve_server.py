@@ -1,17 +1,21 @@
 """End-to-end tests for the asyncio interference server + client.
 
 pytest-asyncio is not a dependency; every test drives its own event loop
-via ``asyncio.run``. Servers use the thread executor — process-pool
-startup costs belong in the benchmark suite, and the admission/batching/
-deadline logic under test is executor-agnostic (the CLI and benchmarks
-exercise the process path).
+via ``run_loop``, which also fails on anything the loop reports. Most
+servers use the thread executor: the admission/batching/deadline logic
+under test is executor-agnostic. ``TestProcessWorkers`` and
+``TestBatchTaskLifetime`` cover the forked worker pool.
 """
 
 import asyncio
+import gc
 import json
+import pickle
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.geometry.generators import exponential_chain
 from repro.interference.receiver import graph_interference
 from repro.model.udg import unit_disk_graph
@@ -21,16 +25,15 @@ from repro.serve import (
     ServeConfig,
     ServeError,
 )
+from repro.serve.handlers import handle_interference, run_batch
+from repro.serve.workers import WorkerPool
+from tests.conftest import run_loop
 
 
 def thread_config(**overrides) -> ServeConfig:
     base = dict(port=0, workers=2, executor="thread")
     base.update(overrides)
     return ServeConfig(**base)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 class TestRequestTypes:
@@ -43,7 +46,7 @@ class TestRequestTypes:
                         generator="exponential_chain", args={"n": 8}
                     )
 
-        result = run(scenario())
+        result = run_loop(scenario())
         topo = unit_disk_graph(exponential_chain(8), unit=1.0)
         assert result["value"] == int(graph_interference(topo))
         assert result["n"] == 8
@@ -62,7 +65,7 @@ class TestRequestTypes:
                     )
                     return node, avg
 
-        node, avg = run(scenario())
+        node, avg = run_loop(scenario())
         assert isinstance(node["value"], list) and len(node["value"]) == 4
         assert isinstance(avg["value"], float)
 
@@ -79,7 +82,7 @@ class TestRequestTypes:
                     )
                     return udg, emst
 
-        udg, emst = run(scenario())
+        udg, emst = run_loop(scenario())
         assert udg["algorithm"] is None and emst["algorithm"] == "emst"
         assert emst["n_edges"] == 5  # spanning tree on 6 nodes
         assert emst["n_edges"] <= udg["n_edges"]
@@ -93,7 +96,7 @@ class TestRequestTypes:
                         generator="exponential_chain", args={"n": 8}
                     )
 
-        result = run(scenario())
+        result = run_loop(scenario())
         assert result["exact"] is True
         assert result["value"] == result["lower_bound"] == 4
         assert result["certificate"]["digest"]
@@ -111,7 +114,7 @@ class TestRequestTypes:
                         node_budget=10_000_000, deadline_ms=30.0,
                     )
 
-        result = run(scenario())
+        result = run_loop(scenario())
         assert result["lower_bound"] <= result["value"]
         assert result["status"] in ("optimal", "budget")
 
@@ -121,7 +124,7 @@ class TestRequestTypes:
                 async with await ServeClient.connect(port=server.port) as client:
                     return await client.experiment("diag_echo", payload=41)
 
-        result = run(scenario())
+        result = run_loop(scenario())
         assert result["data"]["payload"] == 41
 
 
@@ -154,7 +157,7 @@ class TestBatching:
                     results = await asyncio.gather(holder, *queued)
                     return results, server.stats()
 
-        results, stats = run(scenario())
+        results, stats = run_loop(scenario())
         assert len({r["value"] for r in results}) == 1  # identical instances
         assert stats["accepted"] == 40
         assert stats["batched_requests"] == 40
@@ -178,7 +181,7 @@ class TestBatching:
                     ))
                     return server.stats()
 
-        stats = run(scenario())
+        stats = run_loop(scenario())
         assert stats["batches"] == 5
         assert stats["max_batch_size"] == 1
 
@@ -207,7 +210,7 @@ class TestBatching:
                     results = await asyncio.gather(holder, *queued)
                     return results[1:], server.stats()
 
-        results, stats = run(scenario())
+        results, stats = run_loop(scenario())
         assert stats["batches"] >= 2  # at least one dispatch per lane
         graphs = [r for r in results if r["measure"] == "graph"]
         averages = [r for r in results if r["measure"] == "average"]
@@ -245,7 +248,7 @@ class TestBatching:
                     assert request in done, "lone request waited on a timer"
                     return request.result(), server.stats()
 
-        result, stats = run(scenario())
+        result, stats = run_loop(scenario())
         topo = unit_disk_graph(exponential_chain(8), unit=1.0)
         assert result["value"] == int(graph_interference(topo))
         assert stats["batches"] == 1
@@ -275,7 +278,7 @@ class TestBatching:
                     await asyncio.gather(first, second)
                     return server.stats()
 
-        stats = run(scenario())
+        stats = run_loop(scenario())
         # without the linger the first request would have gone alone
         assert stats["batches"] == 1
         assert stats["max_batch_size"] == 2
@@ -324,7 +327,7 @@ class TestBatching:
                 r"listening on [\d.]+:(\d+)", proc.stdout.readline()
             )
             assert match, "no listening banner"
-            run(drive(int(match.group(1))))
+            run_loop(drive(int(match.group(1))))
         finally:
             proc.send_signal(signal.SIGINT)
             _, err = proc.communicate(timeout=30)
@@ -351,7 +354,7 @@ class TestBatching:
                     )
                 return result, list(cluster.worker_logs[0])
 
-        result, log = run(scenario())
+        result, log = run_loop(scenario())
         topo = unit_disk_graph(exponential_chain(8), unit=1.0)
         assert result["value"] == int(graph_interference(topo))
         assert "DeprecationWarning: batch_linger_ms" in log[0]
@@ -366,7 +369,7 @@ class TestErrors:
                         await client.interference(generator="not_a_generator")
                     return info.value
 
-        error = run(scenario())
+        error = run_loop(scenario())
         assert error.code == "bad_request"
         assert "unknown generator" in error.message
 
@@ -383,7 +386,7 @@ class TestErrors:
                 await writer.wait_closed()
                 return json.loads(line)
 
-        response = run(scenario())
+        response = run_loop(scenario())
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
         assert response["id"] is None
@@ -403,7 +406,7 @@ class TestErrors:
                 await writer.wait_closed()
                 return json.loads(line)
 
-        response = run(scenario())
+        response = run_loop(scenario())
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
         assert "frame too long" in response["error"]["message"]
@@ -417,7 +420,7 @@ class TestErrors:
                     })
                     return response
 
-        response = run(scenario())
+        response = run_loop(scenario())
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
 
@@ -441,7 +444,7 @@ class TestAdmissionControl:
                     ))
                     return responses, server.stats()
 
-        responses, stats = run(scenario())
+        responses, stats = run_loop(scenario())
         ok = [r for r in responses if r.get("ok")]
         shed = [
             r for r in responses
@@ -462,7 +465,7 @@ class TestAdmissionControl:
                     )
                 return server.stats()
 
-        stats = run(scenario())
+        stats = run_loop(scenario())
         assert stats["pings"] == 1
         assert stats["accepted"] == stats["completed"] == 1
         assert stats["queue_depth"] == 0
@@ -487,7 +490,7 @@ class TestDeadlines:
                     )
                     return response, fast, server.stats()
 
-        response, fast, stats = run(scenario())
+        response, fast, stats = run_loop(scenario())
         assert response["ok"] is False
         assert response["error"]["code"] == "deadline_exceeded"
         assert fast["ok"] is True
@@ -513,7 +516,7 @@ class TestDeadlines:
                     await blocker
                     return doomed
 
-        doomed = run(scenario())
+        doomed = run_loop(scenario())
         assert doomed["ok"] is False
         assert doomed["error"]["code"] == "deadline_exceeded"
 
@@ -529,7 +532,7 @@ class TestDeadlines:
                          "kwargs": {"seconds": 0.08}},
                     )
 
-        response = run(scenario())
+        response = run_loop(scenario())
         assert response["ok"] is False
         assert response["error"]["code"] == "deadline_exceeded"
 
@@ -554,7 +557,7 @@ class TestLifecycle:
             await client.close()
             return responses, server.stats()
 
-        responses, stats = run(scenario())
+        responses, stats = run_loop(scenario())
         assert all(r["ok"] for r in responses)
         assert stats["completed"] == 4
         assert stats["queue_depth"] == 0
@@ -571,7 +574,7 @@ class TestLifecycle:
                     asyncio.open_connection(port=port), timeout=1.0
                 )
 
-        run(scenario())
+        run_loop(scenario())
 
     def test_obs_counters_and_spans_recorded(self):
         from repro import obs
@@ -584,10 +587,171 @@ class TestLifecycle:
                     )
 
         with obs.capture():
-            run(scenario())
+            run_loop(scenario())
             snap = obs.snapshot()
         assert snap.counters["serve.accepted"] == 1
         assert snap.counters["serve.completed"] == 1
         assert snap.counters["serve.batches"] == 1
         names = [s.name for s in snap.spans]
         assert "serve.request" in names and "serve.batch" in names
+
+
+def process_config(**overrides) -> ServeConfig:
+    base = dict(port=0, workers=1, executor="process")
+    base.update(overrides)
+    return ServeConfig(**base)
+
+
+class TestBatchTaskLifetime:
+    """A batch in flight is referenced by the server, not only by the
+    loop's weak task set: a collection mid-batch must not drop it."""
+
+    def test_gc_mid_batch_thread_path(self, dispatch_gate):
+        async def scenario():
+            async with InterferenceServer(thread_config(workers=1)) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    reply = asyncio.ensure_future(client.interference(
+                        generator="exponential_chain", args={"n": 8}
+                    ))
+                    await dispatch_gate.until(dispatch_gate.held.is_set)
+                    gc.collect()
+                    dispatch_gate.release()
+                    return await asyncio.wait_for(reply, timeout=10.0)
+
+        topo = unit_disk_graph(exponential_chain(8), unit=1.0)
+        assert run_loop(scenario())["value"] == int(graph_interference(topo))
+
+    def test_gc_mid_batch_process_path(self):
+        async def scenario():
+            async with InterferenceServer(process_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    reply = asyncio.ensure_future(client.experiment(
+                        "diag_sleep", seconds=0.3
+                    ))
+                    await asyncio.sleep(0.1)
+                    assert server.stats()["inflight_batches"] == 1
+                    for _ in range(3):
+                        gc.collect()
+                        await asyncio.sleep(0.02)
+                    return await asyncio.wait_for(reply, timeout=10.0)
+
+        assert run_loop(scenario())["rows"][0][0] == 0.3
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_batch_past_the_drain_window_is_answered(self, executor, dispatch_gate):
+        # stop() cancels what is still running after the drain window and
+        # awaits it: the request is answered `shutting_down`. The gate
+        # holds the thread worker; a process worker sleeps.
+        config = ServeConfig(
+            port=0, workers=1, executor=executor, drain_timeout_s=0.1,
+        )
+        seconds = 5.0 if executor == "process" else 0.0
+
+        async def scenario():
+            server = InterferenceServer(config)
+            await server.start()
+            async with await ServeClient.connect(port=server.port) as client:
+                reply = asyncio.ensure_future(client.request_raw(
+                    "experiment",
+                    {"experiment_id": "diag_sleep",
+                     "kwargs": {"seconds": seconds}},
+                ))
+                await dispatch_gate.until(
+                    lambda: server.stats()["inflight_batches"] == 1
+                )
+                await server.stop()
+                response = await asyncio.wait_for(reply, timeout=10.0)
+            return response, server.stats()
+
+        response, stats = run_loop(scenario())
+        assert response["ok"] is False
+        assert response["error"]["code"] == "shutting_down"
+        assert stats["inflight_batches"] == 0
+
+
+def _positions(seed: int, n: int, side: float) -> list:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, side, size=(n, 2)).tolist()
+
+
+class TestProcessWorkers:
+    """The socketpair worker pool returns what ``run_batch`` returns."""
+
+    @staticmethod
+    def _through_pool(kind, payloads):
+        async def scenario():
+            pool = WorkerPool(1)
+            await pool.start()
+            try:
+                return await pool.run(kind, payloads)
+            finally:
+                pool.close()
+
+        return run_loop(scenario())
+
+    def test_frames_over_one_mib_round_trip(self):
+        # three n = 2e4 instances make a request frame over 1 MiB (each
+        # over the per-request node cap, so each is an error item); the
+        # n = 4096 one computes, and the echo makes a reply over 1 MiB
+        payloads = [
+            {"positions": _positions(seed, 20_000, 100.0), "measure": "node"}
+            for seed in range(3)
+        ]
+        payloads.append(
+            {"positions": _positions(3, 4096, 60.0), "measure": "node"}
+        )
+        frame = pickle.dumps(("interference", payloads), pickle.HIGHEST_PROTOCOL)
+        assert len(frame) > 2**20
+        items, handler_s = self._through_pool("interference", payloads)
+        assert items == run_batch("interference", payloads)
+        assert handler_s > 0
+        assert [item["ok"] for item in items] == [False] * 3 + [True]
+
+        echo = [{"experiment_id": "diag_echo",
+                 "kwargs": {"payload": _positions(4, 60_000, 1.0)}}]
+        items, _ = self._through_pool("experiment", echo)
+        assert len(pickle.dumps(items, pickle.HIGHEST_PROTOCOL)) > 2**20
+        assert items[0]["result"]["rows"][0][1] == echo[0]["kwargs"]["payload"]
+
+    def test_fused_interference_batch_equals_scalar(self):
+        payloads = [
+            {"positions": _positions(seed, 40, 3.0), "algorithm": "emst",
+             "measure": measure}
+            for seed, measure in enumerate(["node", "graph", "average"] * 2)
+        ]
+        items, _ = self._through_pool("interference", payloads)
+        assert [item["result"] for item in items] == [
+            handle_interference(p) for p in payloads
+        ]
+
+    def test_request_span_splits_into_queue_worker_ipc(self):
+        async def scenario():
+            async with InterferenceServer(process_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    await client.interference(
+                        generator="exponential_chain", args={"n": 12}
+                    )
+
+        with obs.capture():
+            run_loop(scenario())
+            spans = {s.name: s.duration_s for s in obs.snapshot().spans}
+        parts = (
+            spans["serve.queue_wait"] + spans["serve.worker"]
+            + spans["serve.ipc"]
+        )
+        assert spans["serve.worker"] > 0
+        assert abs(parts - spans["serve.request"]) < 1e-3
+
+    def test_more_inflight_batches_than_workers_wait_for_one(self):
+        config = process_config(max_inflight_batches=3, batch_max_size=1)
+
+        async def scenario():
+            async with InterferenceServer(config) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    return await asyncio.gather(*(
+                        client.experiment("diag_sleep", seconds=0.05)
+                        for _ in range(4)
+                    ))
+
+        results = run_loop(scenario())
+        assert len({r["rows"][0][1] for r in results}) == 1

@@ -13,16 +13,13 @@ from repro.serve import (
     ServeError,
 )
 from repro.stream import StreamEngine, StreamConfig, random_stream_events
+from tests.conftest import run_loop
 
 
 def thread_config(**overrides) -> ServeConfig:
     base = dict(port=0, workers=2, executor="thread")
     base.update(overrides)
     return ServeConfig(**base)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def events_for(n, *, seed=0, capacity=64, family="uniform"):
@@ -51,7 +48,7 @@ class TestLifecycle:
                     )
                     return summary, node
 
-        summary, node = run(scenario())
+        summary, node = run_loop(scenario())
         reference = StreamEngine(
             StreamConfig(capacity=64, r_max=1.0, snapshot_every=0)
         )
@@ -69,7 +66,7 @@ class TestLifecycle:
                         await client.stream_read()
                     return info.value.code
 
-        assert run(scenario()) == "bad_request"
+        assert run_loop(scenario()) == "bad_request"
 
     def test_double_init_needs_reset(self):
         async def scenario():
@@ -83,7 +80,7 @@ class TestLifecycle:
                     )
                     return fresh["seq"]
 
-        assert run(scenario()) == 0
+        assert run_loop(scenario()) == 0
 
     def test_apply_validation(self):
         async def scenario():
@@ -106,7 +103,7 @@ class TestLifecycle:
                             codes.append(exc.code)
                     return codes
 
-        assert run(scenario()) == ["bad_request"] * 4
+        assert run_loop(scenario()) == ["bad_request"] * 4
 
     def test_rejected_events_are_counted_not_fatal(self):
         async def scenario():
@@ -120,7 +117,7 @@ class TestLifecycle:
                     read = await client.stream_read(node=1, max_lag=0)
                     return ack, read, server.stats()
 
-        ack, read, stats = run(scenario())
+        ack, read, stats = run_loop(scenario())
         assert ack["rejected"] == 1
         assert read["value"] == 0
         assert stats["stream_rejected_events"] == 1
@@ -141,7 +138,7 @@ class TestBoundedStaleness:
                     read = await client.stream_read(max_lag=0)
                     return read
 
-        read = run(scenario())
+        read = run_loop(scenario())
         assert read["seq"] == 500
         assert read["lag"] == 0
 
@@ -161,7 +158,7 @@ class TestBoundedStaleness:
                     relaxed = await client.stream_read(max_lag=3)
                     return info.value.code, relaxed["lag"], server.stats()
 
-        code, lag, stats = run(scenario())
+        code, lag, stats = run_loop(scenario())
         assert code == "deadline_exceeded"
         assert lag == 3
         assert stats["stream_read_timeouts"] == 1
@@ -175,7 +172,7 @@ class TestBoundedStaleness:
                         await client.stream_read(max_lag=-1)
                     return info.value.code
 
-        assert run(scenario()) == "bad_request"
+        assert run_loop(scenario()) == "bad_request"
 
 
 class TestSubscriptions:
@@ -206,7 +203,7 @@ class TestSubscriptions:
                     await client.stream_unsubscribe(sub["sub"])
                     return view, read
 
-        view, read = run(scenario())
+        view, read = run_loop(scenario())
         assert sorted(view.items()) == [tuple(nc) for nc in read["nodes"]]
 
     def test_unsubscribe_stops_pushes(self):
@@ -224,7 +221,7 @@ class TestSubscriptions:
                     )
                     return queue.qsize(), server.stats()["stream_pushes"]
 
-        qsize, pushes = run(scenario())
+        qsize, pushes = run_loop(scenario())
         assert qsize == 0 and pushes == 0
 
     def test_subscription_cap(self):
@@ -239,7 +236,7 @@ class TestSubscriptions:
                         await client.stream_subscribe((0, 0, 1, 1))
                     return info.value.code
 
-        assert run(scenario()) == "bad_request"
+        assert run_loop(scenario()) == "bad_request"
 
 
 class TestRegions:
@@ -256,7 +253,7 @@ class TestRegions:
                     sub, _ = await client.stream_subscribe(box)
                     return read["nodes"], sub["nodes"]
 
-        read, sub = run(scenario())
+        read, sub = run_loop(scenario())
         reference = StreamEngine(StreamConfig(capacity=64, r_max=1.0))
         reference.apply_batch(events)
         want = [[v, reference.counts[v]] for v in reference.active_nodes()]
@@ -284,7 +281,7 @@ class TestRegions:
                         await client.request(kind, {"region": region})
                     return info.value.code
 
-        assert run(scenario()) == "bad_request"
+        assert run_loop(scenario()) == "bad_request"
 
     def test_json_infinity_and_nan_literals_are_bad_requests(self):
         # Python's JSON decoder accepts the non-standard Infinity / NaN
@@ -308,7 +305,7 @@ class TestRegions:
                 await writer.wait_closed()
                 return codes
 
-        for reply in run(scenario()):
+        for reply in run_loop(scenario()):
             assert reply["ok"] is False
             assert reply["error"]["code"] == "bad_request"
             assert "finite" in reply["error"]["message"]
@@ -339,9 +336,9 @@ class TestDurableLane:
                     read = await client.stream_read(max_lag=0)
                     return init, read
 
-        ack = run(ingest())
+        ack = run_loop(ingest())
         assert ack["applied_seq"] == 150
-        init, read = run(reopen())
+        init, read = run_loop(reopen())
         assert init["seq"] == 150
         assert init["recovery"]["snapshot_seq"] == 120
         assert init["recovery"]["replayed_to"] == 150

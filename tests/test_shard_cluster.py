@@ -43,10 +43,11 @@ def as_list(pos):
     return [[float(x), float(y)] for x, y in pos]
 
 
-async def cluster_answer(pos, k, params, *, balanced=False):
+async def cluster_answer(pos, k, params, *, balanced=False, executor="thread"):
     kwargs = dict(
         shards=k,
         worker_mode="inprocess",
+        worker_executor=executor,
         bounds=(0.0, 0.0, SIDE, SIDE),
         ghost=2.5,
     )
@@ -106,6 +107,18 @@ class TestDifferentialExactness:
             assert sharded["value"] == expected
             assert sharded["n_edges"] == len(topo.edges)
             assert stats["frontend"]["fanout"] == 1
+
+    def test_process_workers_answer_like_thread_workers(self):
+        pos = uniform_instance()
+        for measure in ("graph", "node"):
+            params = {"unit": UNIT, "measure": measure}
+            threaded, _ = asyncio.run(cluster_answer(pos, 2, params))
+            forked, stats = asyncio.run(
+                cluster_answer(pos, 2, params, executor="process")
+            )
+            assert forked == threaded, measure
+            assert stats["frontend"]["fanout"] == 1
+            assert [s["batches"] for s in stats["shards"]] == [1, 1]
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_balanced_grid_is_equally_exact(self, k):

@@ -52,6 +52,18 @@ class TestChaosSuite:
         engine.close()
         assert store_bytes(tmp_path / "s") == expected_wal_bytes(events)
 
+    def test_passed_runs_leave_no_directory(self, tmp_path):
+        # the uniform then the rotation suite into one directory, as CI
+        # runs them: a passed run's directory must not be reused
+        uniform = chaos_suite(tmp_path, 3, seed=0, n_events=200, capacity=128)
+        assert "all exact" in render_chaos_results(uniform)
+        assert list(tmp_path.iterdir()) == []
+        rotation = chaos_suite(
+            tmp_path, 3, seed=11, n_events=400, capacity=256, side=8.0,
+            target="rotation",
+        )
+        assert "all exact" in render_chaos_results(rotation)
+
     def test_render_is_humane(self, tmp_path):
         results = chaos_suite(tmp_path, 2, seed=0, n_events=150, capacity=128)
         text = render_chaos_results(results)
