@@ -299,19 +299,16 @@ def random_udg_connected(
     """Uniform points in a square, rejection-sampled until UDG-connected.
 
     Raises ``RuntimeError`` after ``max_tries`` rejections — pick a smaller
-    ``side`` (higher density) if that happens.
+    ``side`` (higher density) if that happens. ``n = 0`` returns the empty
+    instance, which counts as connected.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     from repro.geometry.points import pairwise_within
+    from repro.graphs.traversal import edges_connected
 
     rng = as_generator(seed)
     for _ in range(max_tries):
         pos = random_uniform_square(n, side=side, seed=rng)
-        i, j = pairwise_within(pos, unit).T
-        graph = csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
-        if connected_components(graph, directed=False)[0] == 1:
+        if edges_connected(n, pairwise_within(pos, unit)):
             return pos
     raise RuntimeError(
         f"no connected UDG found in {max_tries} tries "

@@ -6,7 +6,12 @@ these implementations.
 
 from repro.graphs.core import Graph
 from repro.graphs.unionfind import DisjointSet
-from repro.graphs.traversal import bfs_order, connected_components, is_connected
+from repro.graphs.traversal import (
+    bfs_order,
+    connected_components,
+    edges_connected,
+    is_connected,
+)
 from repro.graphs.mst import kruskal_mst
 from repro.graphs.paths import dijkstra, hop_distances
 from repro.graphs.spanner import euclidean_stretch, graph_stretch
@@ -16,6 +21,7 @@ __all__ = [
     "DisjointSet",
     "bfs_order",
     "connected_components",
+    "edges_connected",
     "is_connected",
     "kruskal_mst",
     "dijkstra",

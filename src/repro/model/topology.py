@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.graphs.core import Graph
-from repro.graphs.traversal import is_connected as _graph_connected
+from repro.graphs.traversal import edges_connected
 from repro.utils import check_edge_array, check_positions
 from repro.utils.validation import edge_keys
 
@@ -121,7 +121,7 @@ class Topology:
         return Graph.from_edge_array(self.n, self.edges)
 
     def is_connected(self) -> bool:
-        return _graph_connected(self.as_graph(weighted=False))
+        return edges_connected(self.n, self.edges)
 
     def is_subgraph_of(self, other: "Topology") -> bool:
         """True iff every edge of ``self`` also appears in ``other``."""

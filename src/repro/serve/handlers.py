@@ -36,11 +36,7 @@ import numpy as np
 
 from repro.cluster.tiles import TileGrid, required_ghost
 from repro.geometry import generators as _generators
-from repro.interference.receiver import (
-    average_interference,
-    graph_interference,
-    node_interference,
-)
+from repro.interference.receiver import graph_interference, node_interference
 from repro.interference.sender import sender_interference
 from repro.model.udg import unit_disk_graph
 from repro.serve.protocol import kernel_method
@@ -66,11 +62,30 @@ GENERATORS = {
     "grid_points": _generators.grid_points,
 }
 
+
+def _measure_from_vector(measure: str, vec) -> object:
+    """JSON-safe value of a receiver-centric measure from a per-node
+    interference vector (0 / 0.0 for the empty network, as in
+    :func:`~repro.interference.receiver.graph_interference` and
+    :func:`~repro.interference.receiver.average_interference`)."""
+    if measure == "graph":
+        return int(vec.max()) if vec.size else 0
+    if measure == "average":
+        return float(vec.mean()) if vec.size else 0.0
+    return vec.tolist()
+
+
+def _receiver_measure(measure: str):
+    return lambda topo, **kw: _measure_from_vector(
+        measure, node_interference(topo, **kw)
+    )
+
+
 #: interference measure name -> (topology -> JSON-safe value)
 MEASURES = {
-    "graph": lambda topo, **kw: int(graph_interference(topo, **kw)),
-    "average": lambda topo, **kw: float(average_interference(topo, **kw)),
-    "node": lambda topo, **kw: [int(v) for v in node_interference(topo, **kw)],
+    "graph": _receiver_measure("graph"),
+    "average": _receiver_measure("average"),
+    "node": _receiver_measure("node"),
     "sender": lambda topo, **kw: float(sender_interference(topo)),
 }
 
@@ -174,16 +189,6 @@ def _interference_result(topo, algorithm, measure, value) -> dict:
     }
 
 
-def _measure_from_vector(measure: str, vec) -> object:
-    """JSON-safe measure value from a per-node interference vector —
-    mirrors :data:`MEASURES` exactly (incl. empty-network conventions)."""
-    if measure == "graph":
-        return int(vec.max()) if vec.size else 0
-    if measure == "average":
-        return float(vec.mean()) if vec.size else 0.0
-    return [int(v) for v in vec]
-
-
 def _validate_region(region) -> tuple[float, float, float, float]:
     if (
         not isinstance(region, (list, tuple))
@@ -240,7 +245,7 @@ def handle_interference(params: dict) -> dict:
         # count is not its business (and a cluster answers it from the
         # region's owner shards alone, which cannot see all edges)
         result.pop("n_edges", None)
-        result["ids"] = [int(i) for i in np.flatnonzero(mask)]
+        result["ids"] = np.flatnonzero(mask).tolist()
         return result
     return _interference_result(
         topo, algorithm, measure, MEASURES[measure](topo, **kw)
@@ -318,8 +323,8 @@ def _shard_interference(params: dict) -> dict:
     if edges.shape[0]:
         gmin = np.minimum(subset[edges[:, 0]], subset[edges[:, 1]])
         result["n_edges_owned"] = int(np.count_nonzero(owner[gmin] == index))
-    result["ids"] = [int(i) for i in ids]
-    result["counts"] = [int(c) for c in counts]
+    result["ids"] = ids.tolist()
+    result["counts"] = counts.tolist()
     return result
 
 
@@ -332,10 +337,10 @@ def handle_build_topology(params: dict) -> dict:
         "n_edges": int(len(topo.edges)),
         "algorithm": algorithm,
         "interference": int(graph_interference(topo)),
-        "radii": [float(r) for r in topo.radii],
+        "radii": topo.radii.tolist(),
     }
     if include_edges:
-        result["edges"] = [[int(u), int(v)] for u, v in topo.edges]
+        result["edges"] = topo.edges.tolist()
     return result
 
 

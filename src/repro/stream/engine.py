@@ -439,7 +439,9 @@ class StreamEngine:
            engine's *exact* ``dx*dx + dy*dy <= r*r`` predicate;
         3. commit: bincount deltas onto untouched victims, overwrite the
            touched nodes' state (Python floats, so snapshots and digests
-           stay byte-identical to the scalar path), splice grid buckets.
+           stay byte-identical to the scalar path), splice grid buckets
+           in last-event order, so every bucket lists its nodes as the
+           scalar loop would have left them.
         """
         from repro.geometry.spatial import GridIndex
 
@@ -449,13 +451,16 @@ class StreamEngine:
         counts, active, grid = self.counts, self.active, self._grid
 
         # -- 1: validate by membership simulation (no mutation) ------------
+        # Each event re-inserts its node, so ``st`` ends in last-event
+        # order: the order in which the scalar loop's final appends leave
+        # touched survivors in their grid buckets (step 3 splices them so).
         st: dict[int, tuple | None] = {}
         for event in events:
             node = event.node
             if not 0 <= node < cap:
                 return None
             if node in st:
-                cur = st[node]
+                cur = st.pop(node)
             elif active[node]:
                 cur = (xs[node], ys[node], rs[node])
             else:

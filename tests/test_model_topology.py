@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs import is_connected
 from repro.model.topology import Topology
 
 
@@ -59,6 +60,23 @@ class TestStructure:
     def test_connectivity(self, path_topology):
         assert path_topology.is_connected()
         assert not path_topology.without_edges([(2, 3)]).is_connected()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_edge_free_connectivity(self, n):
+        # at most one node is connected, as for graphs.is_connected
+        topo = Topology.empty(np.zeros((n, 2)))
+        assert topo.is_connected() == (n <= 1)
+        assert topo.is_connected() == is_connected(topo.as_graph())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_connectivity_matches_graph_bfs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 15))
+        topo = Topology(
+            rng.uniform(0.0, 3.0, size=(n, 2)),
+            _random_rows(rng, n, int(rng.integers(0, 2 * n))),
+        )
+        assert topo.is_connected() == is_connected(topo.as_graph())
 
     def test_is_subgraph_of(self, path_topology):
         sub = path_topology.without_edges([(0, 1)])

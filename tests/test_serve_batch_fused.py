@@ -143,3 +143,53 @@ class TestErrorIndependence:
     def test_bool_unit_rejected_scalar_handler(self):
         with pytest.raises(ValueError, match="'unit' must be a positive"):
             handle_interference(_inline_item(0, unit=False))
+
+
+class TestWireValues:
+    """Handler results serialize to the same JSON as the library values
+    converted element by element (``int(v)`` / ``float(r)`` per entry)."""
+
+    @staticmethod
+    def _topo(seed):
+        from repro.model.udg import unit_disk_graph
+        from repro.topologies import build
+
+        params = _inline_item(seed)
+        return build("emst", unit_disk_graph(np.array(params["positions"]), unit=1.5))
+
+    def test_measures_match_library_functions(self):
+        import json
+
+        from repro.interference.receiver import (
+            average_interference,
+            graph_interference,
+            node_interference,
+        )
+        from repro.serve.handlers import MEASURES
+
+        for seed in range(3):
+            topo = self._topo(seed)
+            want = {
+                "graph": int(graph_interference(topo)),
+                "average": float(average_interference(topo)),
+                "node": [int(v) for v in node_interference(topo)],
+            }
+            for measure, value in want.items():
+                got = MEASURES[measure](topo)
+                assert json.dumps(got) == json.dumps(value)
+                assert type(got) is type(value)
+
+    def test_lists_are_plain_python(self):
+        import json
+
+        from repro.serve.handlers import handle_build_topology
+
+        params = _inline_item(0)
+        topo = self._topo(0)
+        built = handle_build_topology(params)
+        assert json.dumps(built["radii"]) == json.dumps(
+            [float(r) for r in topo.radii]
+        )
+        assert built["edges"] == [[int(u), int(v)] for u, v in topo.edges]
+        region = handle_interference({**params, "region": [0.0, 0.0, 2.0, 2.0]})
+        assert all(type(i) is int for i in region["ids"] + region["value"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.generators import random_udg_connected
+from repro.graphs import is_connected
 from repro.interference.receiver import (
     average_interference,
     graph_interference,
@@ -26,6 +27,13 @@ from repro.topologies import (
 def udg32():
     pos = random_udg_connected(32, side=2.5, seed=21)
     return unit_disk_graph(pos, unit=1.0)
+
+
+@pytest.fixture(scope="module")
+def udg_split():
+    """Two 16-node clusters 3 apart: a UDG with at least two components."""
+    pos = random_udg_connected(16, side=1.0, seed=4)
+    return unit_disk_graph(np.concatenate([pos, pos + (4.0, 0.0)]), unit=1.0)
 
 
 class TestRegistrySections:
@@ -109,6 +117,14 @@ class TestRegistryRoundTrip:
         assert vec.shape == (udg32.n,)
         assert np.all(vec >= 0) and np.all(vec < udg32.n)
 
+    def test_is_connected_matches_graph_bfs(self, name, udg32, udg_split):
+        """``Topology.is_connected`` (array label propagation over the
+        edge array) agrees with BFS over the :class:`Graph` conversion,
+        on a connected UDG and on one with several components."""
+        for udg in (udg32, udg_split):
+            out = build(name, udg)
+            assert out.is_connected() == is_connected(out.as_graph())
+
 
 class TestHighwayAdapters:
     def test_adapter_forwards_kwargs(self, udg32):
@@ -148,6 +164,7 @@ class TestOptimizerAdapters:
         assert isinstance(out, Topology)
         assert out.n == udg12.n
         assert out.is_connected()
+        assert is_connected(out.as_graph())
         # optimizer outputs stay inside the unit disk graph
         for u, v in out.edges:
             assert udg12.has_edge(int(u), int(v))
