@@ -1,8 +1,9 @@
 """Bench E10: the packet-level simulation substrate.
 
 Times slotted ALOHA (the MAC engine's plain configuration), the gather
-and the CSMA simulators while re-asserting the model-validation shape
-(I(v) predicts collisions; low-I topologies lose fewer packets).
+simulator and the MAC engine's CSMA mode while re-asserting the
+model-validation shape (I(v) predicts collisions; low-I topologies lose
+fewer packets).
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ from repro.experiments.sim_collisions import slotted_aloha
 from repro.geometry.generators import exponential_chain, random_udg_connected
 from repro.highway.a_exp import a_exp
 from repro.highway.linear import linear_chain
+from repro.mac import MacConfig, MacSimulator
+from repro.mac.metrics import collision_interference_correlation
 from repro.model.udg import unit_disk_graph
-from repro.sim.csma import CsmaSimulator
-from repro.sim.metrics import collision_interference_correlation
 from repro.sim.slotted import GatherSimulator
 from repro.sim.traffic import gather_tree
 
@@ -56,9 +57,7 @@ def test_csma_event_driven(benchmark):
     pos = random_udg_connected(30, side=3.0, seed=17)
     udg = unit_disk_graph(pos)
 
-    def run():
-        sim = CsmaSimulator(udg, arrival_rate=0.05, seed=17)
-        return sim.run_for(1000.0)
-
-    res = benchmark(run)
+    sim = MacSimulator(udg, config=MacConfig(mode="csma", tx_slots=3, load=0.02))
+    res = benchmark(sim.run, 3000, seed=17)
     assert res.rx_ok.sum() > 0
+    assert res.deferrals.sum() > 0

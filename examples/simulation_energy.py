@@ -17,9 +17,9 @@ from repro.experiments.sim_collisions import slotted_aloha
 from repro.geometry.generators import exponential_chain, random_udg_connected
 from repro.highway import a_exp, linear_chain
 from repro.interference.receiver import graph_interference
+from repro.mac import MacConfig, MacSimulator
+from repro.mac.metrics import collision_interference_correlation, transmit_energy
 from repro.model.udg import unit_disk_graph
-from repro.sim.csma import CsmaSimulator
-from repro.sim.metrics import collision_interference_correlation, transmit_energy
 from repro.sim.slotted import GatherSimulator
 from repro.sim.traffic import gather_tree
 from repro.topologies import build
@@ -61,11 +61,13 @@ def main() -> None:
     )
 
     # -- Part 2: 2-D deployment, UDG vs EMST under CSMA --------------------
+    # packets last 3 slots, so carrier sensing sees transmissions in flight
     pos2 = random_udg_connected(50, side=3.5, seed=5)
     udg = unit_disk_graph(pos2)
+    csma = MacConfig(mode="csma", tx_slots=3, load=0.03)
     rows = []
     for name, topo in (("full UDG", udg), ("EMST", build("emst", udg))):
-        res = CsmaSimulator(topo, arrival_rate=0.08, seed=6).run_for(3000.0)
+        res = MacSimulator(topo, config=csma).run(9000, seed=6)
         loss = res.rx_collision.sum() / max(
             1, res.rx_ok.sum() + res.rx_collision.sum()
         )
@@ -84,7 +86,7 @@ def main() -> None:
         format_table(
             ["topology", "I(G)", "attempts", "loss rate", "deferrals", "energy"],
             rows,
-            title="2-D deployment, p-persistent CSMA (n=50, hidden terminals)",
+            title="2-D deployment, slotted CSMA (n=50, hidden terminals)",
         )
     )
     print(

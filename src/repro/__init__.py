@@ -46,7 +46,7 @@ from repro.highway.linear import linear_chain
 from repro.opt import OptConfig, solve_opt, verify_certificate
 from repro.runner import ResultCache, SweepTask, expand_grid, run_sweep
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Topology",

@@ -268,11 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="micro-batch size cap (1 disables coalescing)",
     )
     serve.add_argument(
-        "--linger-ms", type=float, default=0.0,
-        help="deprecated, removed in 3.0.0 (dispatch is work-conserving): "
-        "a positive value holds each batch open this long for it to fill",
-    )
-    serve.add_argument(
         "--queue-limit", type=int, default=256,
         help="admission bound; excess requests get explicit 'overloaded'",
     )
@@ -734,7 +729,6 @@ def _serve(args) -> int:
         workers=args.workers,
         executor=args.executor,
         batch_max_size=args.batch_max,
-        batch_linger_ms=args.linger_ms,
         queue_limit=args.queue_limit,
         default_deadline_ms=args.default_deadline_ms,
         drain_timeout_s=args.drain_timeout,
@@ -793,7 +787,6 @@ def _serve_cluster(args) -> int:
         worker_workers=args.workers,
         worker_executor=args.executor,
         batch_max_size=args.batch_max,
-        batch_linger_ms=args.linger_ms,
         queue_limit=args.queue_limit,
         default_deadline_ms=args.default_deadline_ms,
         drain_timeout_s=args.drain_timeout,

@@ -19,9 +19,9 @@ from repro.highway.a_exp import a_exp
 from repro.highway.linear import linear_chain
 from repro.interference.receiver import graph_interference
 from repro.mac import MacConfig, MacSimulator
+from repro.mac.metrics import collision_interference_correlation, transmit_energy
 from repro.model.topology import Topology
 from repro.model.udg import unit_disk_graph
-from repro.sim.metrics import collision_interference_correlation, transmit_energy
 from repro.sim.slotted import GatherSimulator
 from repro.sim.traffic import gather_tree
 from repro.topologies import build

@@ -18,8 +18,8 @@ from repro.geometry.generators import exponential_chain, random_udg_connected
 from repro.highway.a_exp import a_exp
 from repro.highway.linear import linear_chain
 from repro.interference.receiver import graph_interference
+from repro.mac.metrics import collision_interference_correlation
 from repro.model.udg import unit_disk_graph
-from repro.sim.metrics import collision_interference_correlation
 from repro.topologies import build
 
 

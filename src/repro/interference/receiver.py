@@ -28,7 +28,6 @@ distance exactly zero, in every kernel.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -71,24 +70,15 @@ def node_interference(
     (fused array-at-a-time queries over the grid CSR layout, optional
     numba backend) or ``"auto"`` (brute below ``AUTO_BATCH_MIN_N`` nodes,
     batch above; the batch kernel degrades gracefully to brute on
-    instances the grid cannot prune). ``"grid"`` is a deprecated
-    spelling of ``"batch"`` (same vector), removed in 3.0.0.
+    instances the grid cannot prune).
     """
-    if method == "grid":
-        warnings.warn(
-            'method="grid" is deprecated (removed in 3.0.0); it runs the '
-            'batch kernel, use method="batch"',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        method = "batch"
+    if method not in ("auto", "brute", "batch"):
+        raise ValueError(f"unknown method {method!r}")
     n = topology.n
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if method == "auto":
         method = "batch" if n > AUTO_BATCH_MIN_N else "brute"
-    if method not in ("brute", "batch"):
-        raise ValueError(f"unknown method {method!r}")
     with obs.span("interference.node", n=n, method=method):
         obs.count(f"interference.method.{method}")
         if method == "brute":

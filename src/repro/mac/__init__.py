@@ -13,8 +13,7 @@ measure, and the package's home for slotted one-hop contention:
   keeps its own slot loop because no :class:`MacSimulator` configuration
   reproduces its RNG draw order (see its module docstring).
 
-Hop-by-hop gathering and continuous-time CSMA stay in :mod:`repro.sim`.
-See ``docs/MAC.md``.
+Hop-by-hop gathering stays in :mod:`repro.sim`. See ``docs/MAC.md``.
 """
 
 from repro.mac.engine import MacConfig, MacResult, MacSimulator

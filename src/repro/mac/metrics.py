@@ -1,4 +1,4 @@
-"""MAC-run metrics: fairness, delay percentiles, and the static link.
+"""MAC-run metrics: fairness, delay percentiles, energy, and the static link.
 
 The headline statistic of the ``mac_contention`` experiment lives here:
 the Spearman rank correlation between the paper's *static* per-node
@@ -10,10 +10,47 @@ empirical form of "the receiver-centric measure predicts contention".
 from __future__ import annotations
 
 import numpy as np
+from scipy import stats
 
+from repro.interference.receiver import node_interference
 from repro.mac.engine import MacResult
 from repro.model.topology import Topology
-from repro.sim.metrics import collision_interference_correlation
+
+
+def transmit_energy(topology: Topology, attempts, *, alpha: float = 2.0) -> float:
+    """Total radiated energy: each attempt by ``u`` costs ``r_u ** alpha``."""
+    attempts = np.asarray(attempts, dtype=np.float64)
+    if attempts.shape != (topology.n,):
+        raise ValueError("attempts must have one entry per node")
+    if np.any(attempts < 0):
+        raise ValueError("attempts must be non-negative")
+    return float(np.sum(attempts * topology.radii**alpha))
+
+
+def collision_interference_correlation(
+    topology: Topology, collision_rate, *, method: str = "spearman"
+) -> tuple[float, float]:
+    """Correlation between static ``I(v)`` and observed collision rates.
+
+    NaN collision entries (nodes never addressed) are dropped. Returns
+    ``(correlation, p_value)``. Degenerate inputs (constant vectors or
+    fewer than 3 valid points) return ``(nan, nan)``.
+    """
+    if method not in ("spearman", "pearson"):
+        raise ValueError(f"unknown method {method!r}")
+    rates = np.asarray(collision_rate, dtype=np.float64)
+    if rates.shape != (topology.n,):
+        raise ValueError("collision_rate must have one entry per node")
+    ivec = node_interference(topology).astype(np.float64)
+    valid = ~np.isnan(rates)
+    x, y = ivec[valid], rates[valid]
+    if x.size < 3 or np.ptp(x) == 0 or np.ptp(y) == 0:
+        return (float("nan"), float("nan"))
+    if method == "spearman":
+        r, p = stats.spearmanr(x, y)
+    else:
+        r, p = stats.pearsonr(x, y)
+    return float(r), float(p)
 
 
 def jain_fairness(values) -> float:
@@ -36,7 +73,7 @@ def interference_collision_spearman(
     """Spearman rank correlation of static ``I(v)`` vs the run's measured
     per-receiver collision rate. Returns ``(rho, p_value)``; degenerate
     inputs give ``(nan, nan)`` (see
-    :func:`repro.sim.metrics.collision_interference_correlation`)."""
+    :func:`collision_interference_correlation`)."""
     return collision_interference_correlation(
         topology, result.collision_rate, method="spearman"
     )

@@ -8,26 +8,9 @@ copying. See ``docs/SERVING.md`` for how the knobs interact.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.serve.protocol import MAX_LINE_BYTES
-
-
-def warn_if_lingering(batch_linger_ms: float) -> None:
-    """Warn that a positive ``batch_linger_ms`` is deprecated.
-
-    Called from a config's ``__post_init__``; the warning points at the
-    code that built the config. Removed with the option in 3.0.0.
-    """
-    if batch_linger_ms > 0:
-        warnings.warn(
-            "batch_linger_ms / --linger-ms is deprecated (removed in "
-            "3.0.0): dispatch is work-conserving and coalesces the backlog "
-            "without a timer; a positive linger only delays idle requests",
-            DeprecationWarning,
-            stacklevel=4,
-        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -54,11 +37,6 @@ class ServeConfig:
         was busy. ``batch_max_size=1`` disables coalescing — the
         per-request-dispatch regime ``benchmarks/bench_serve.py`` compares
         against.
-    batch_linger_ms:
-        Deprecated (removed in 3.0.0); default ``0.0``. A positive value
-        holds each batch open up to this long after its oldest request
-        was admitted, waiting for it to fill, and warns
-        ``DeprecationWarning``.
     queue_limit:
         Admission bound: requests beyond this many queued (not yet
         dispatched) are rejected immediately with ``overloaded`` instead
@@ -98,7 +76,6 @@ class ServeConfig:
     workers: int = 2
     executor: str = "process"
     batch_max_size: int = 32
-    batch_linger_ms: float = 0.0
     queue_limit: int = 256
     max_inflight_batches: int | None = None
     default_deadline_ms: float | None = None
@@ -118,9 +95,6 @@ class ServeConfig:
             raise ValueError("executor must be 'process' or 'thread'")
         if self.batch_max_size < 1:
             raise ValueError("batch_max_size must be >= 1")
-        if self.batch_linger_ms < 0:
-            raise ValueError("batch_linger_ms must be >= 0")
-        warn_if_lingering(self.batch_linger_ms)
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.max_inflight_batches is not None and self.max_inflight_batches < 1:

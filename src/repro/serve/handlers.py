@@ -39,7 +39,6 @@ from repro.geometry import generators as _generators
 from repro.interference.receiver import graph_interference, node_interference
 from repro.interference.sender import sender_interference
 from repro.model.udg import unit_disk_graph
-from repro.serve.protocol import kernel_method
 
 #: Maximum instance size a single serving request may describe. Keeps one
 #: request from monopolizing a worker; larger studies belong in sweeps.
@@ -172,10 +171,10 @@ def _prepare_interference(params: dict):
 
 
 def _kernel_method(params: dict) -> str:
-    """Validated :func:`~repro.serve.protocol.kernel_method` of a request."""
-    method = kernel_method(params)
+    """The validated kernel ``method`` of a request (default ``"auto"``)."""
+    method = params.get("method", "auto")
     if method not in ("auto", "brute", "batch"):
-        raise ValueError("'method' must be auto, brute, grid or batch")
+        raise ValueError("'method' must be auto, brute or batch")
     return method
 
 
@@ -417,8 +416,7 @@ def run_batch(kind: str, params_list: list[dict]) -> list[dict]:
     ...}`` or ``{"ok": False, "error": "<repr>"}``.
 
     A coalesced ``interference`` micro-batch is *fused*: every item whose
-    method resolves to the batch tier (``auto``/``batch``, and ``grid``,
-    which :func:`~repro.serve.protocol.kernel_method` maps to ``batch``) is
+    method resolves to the batch tier (``auto``/``batch``) is
     computed by one :func:`repro.interference.batch.node_interference_many`
     array pass instead of a Python loop of scalar kernel calls — same results
     bit-for-bit (the kernels' equivalence contract), same per-item error

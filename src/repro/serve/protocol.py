@@ -77,20 +77,6 @@ REQUEST_TYPES = (
 #: is dispatched individually.
 BATCHABLE_TYPES = ("interference",)
 
-def kernel_method(params: dict):
-    """The kernel method an ``interference`` request runs: its ``method``
-    (default ``"auto"``) with ``"grid"`` mapped to ``"batch"``.
-
-    ``"grid"`` is the library's deprecated spelling of ``"batch"``
-    (removed from ``node_interference`` in 3.0.0). The wire keeps
-    accepting it; mapped here, it keys the fused lane and never reaches
-    the deprecated spelling. Other values pass through for the handler
-    to reject.
-    """
-    method = params.get("method", "auto")
-    return "batch" if method == "grid" else method
-
-
 #: Request kinds safe to retry after a connection failure: re-executing
 #: them cannot change server state. ``stream_apply`` is deliberately
 #: absent (a retried apply would double-apply events whose first send

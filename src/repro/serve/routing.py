@@ -32,7 +32,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.serve.protocol import BATCHABLE_TYPES, kernel_method
+from repro.serve.protocol import BATCHABLE_TYPES
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -77,10 +77,9 @@ class LaneRouter(Router):
 
     Batchable kinds key on ``(kind, measure, method)`` — requests whose
     kernel options agree may fuse into one ``node_interference_many``
-    dispatch; ``method`` is the :func:`~repro.serve.protocol.kernel_method`
-    that runs, so ``"grid"`` and ``"batch"`` share a lane. Everything else
-    gets a unique ``token`` and is dispatched alone. Differential-tested
-    against the legacy tuple in ``tests/test_serve_routing.py``.
+    dispatch. Everything else gets a unique ``token`` and is dispatched
+    alone. Differential-tested against the legacy tuple in
+    ``tests/test_serve_routing.py``.
     """
 
     def __init__(self) -> None:
@@ -91,6 +90,6 @@ class LaneRouter(Router):
             return RouteKey(
                 kind=kind,
                 measure=params.get("measure", "graph"),
-                method=kernel_method(params),
+                method=params.get("method", "auto"),
             )
         return RouteKey(kind=kind, token=next(self._tokens))

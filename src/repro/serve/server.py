@@ -495,8 +495,6 @@ class InterferenceServer:
             batch = [head]
             if head.lane.batchable:
                 self._take_lane(head.lane, batch, cfg.batch_max_size)
-                if cfg.batch_linger_ms > 0:
-                    await self._linger(head, batch)
             self._inflight += 1
             obs.gauge("serve.inflight_batches", self._inflight)
             task = asyncio.create_task(self._execute_batch(batch))
@@ -524,24 +522,6 @@ class InterferenceServer:
                 continue
             return pending
         return None
-
-    async def _linger(self, head: _Pending, batch: list) -> None:
-        """Deprecated ``batch_linger_ms`` (removed in 3.0.0): hold the
-        batch open for same-lane arrivals until it is full or the linger,
-        counted from ``head``'s admission, has passed."""
-        cfg = self.config
-        loop = asyncio.get_running_loop()
-        target = head.enqueued_at + cfg.batch_linger_ms / 1e3
-        while len(batch) < cfg.batch_max_size:
-            remaining = target - loop.time()
-            if remaining <= 0:
-                break
-            self._arrival.clear()
-            try:
-                await asyncio.wait_for(self._arrival.wait(), remaining)
-            except asyncio.TimeoutError:
-                pass
-            self._take_lane(head.lane, batch, cfg.batch_max_size)
 
     def _take_lane(self, lane, batch: list, limit: int) -> None:
         """Move queued same-lane requests into ``batch`` (up to ``limit``)."""

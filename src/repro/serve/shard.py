@@ -48,7 +48,7 @@ from dataclasses import dataclass
 # package when ``repro.cluster`` is the first thing imported.
 from repro.cluster.tiles import TileGrid
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.config import ServeConfig, warn_if_lingering
+from repro.serve.config import ServeConfig
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
     ERR_INTERNAL,
@@ -96,10 +96,8 @@ class ClusterConfig:
     worker_workers, worker_executor:
         Executor shape of each worker server. The defaults (one thread)
         put the parallelism between worker processes, not inside them.
-    batch_max_size, batch_linger_ms, queue_limit, default_deadline_ms:
+    batch_max_size, queue_limit, default_deadline_ms:
         Passed through to each worker's :class:`ServeConfig`.
-        ``batch_linger_ms`` is deprecated there and here (removed in
-        3.0.0); a positive value warns ``DeprecationWarning``.
     max_line_bytes:
         Frame limit for the cluster's links *and* the front-end's public
         port. Whole-shard partials (ids + counts for ~n/k nodes) blow
@@ -118,7 +116,6 @@ class ClusterConfig:
     worker_workers: int = 1
     worker_executor: str = "thread"
     batch_max_size: int = 32
-    batch_linger_ms: float = 0.0
     queue_limit: int = 256
     default_deadline_ms: float | None = None
     max_line_bytes: int = 16 * MAX_LINE_BYTES
@@ -139,7 +136,6 @@ class ClusterConfig:
             raise ValueError("max_line_bytes must be >= 1024")
         if self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
-        warn_if_lingering(self.batch_linger_ms)
 
     def tile_grid(self) -> TileGrid:
         if self.grid is not None:
@@ -158,7 +154,6 @@ class ClusterConfig:
             workers=self.worker_workers,
             executor=self.worker_executor,
             batch_max_size=self.batch_max_size,
-            batch_linger_ms=self.batch_linger_ms,
             queue_limit=self.queue_limit,
             default_deadline_ms=self.default_deadline_ms,
             max_line_bytes=self.max_line_bytes,
@@ -265,10 +260,6 @@ class ShardCluster:
                 "--workers", str(cfg.worker_workers),
                 "--executor", cfg.worker_executor,
                 "--batch-max", str(cfg.batch_max_size),
-                *(
-                    ("--linger-ms", str(cfg.batch_linger_ms))
-                    if cfg.batch_linger_ms > 0 else ()
-                ),
                 "--queue-limit", str(cfg.queue_limit),
                 "--max-line-bytes", str(cfg.max_line_bytes),
                 "--shard-index", str(index),
@@ -280,8 +271,8 @@ class ShardCluster:
             self._procs.append(proc)
             log: deque[str] = deque(maxlen=_WORKER_LOG_LINES)
             self.worker_logs.append(log)
-            # stderr shares the pipe, so warnings (e.g. the deprecated
-            # --linger-ms) may precede the banner: log them and read on
+            # stderr shares the pipe, so warnings may precede the
+            # banner: log them and read on
             match = None
             while match is None:
                 line = await proc.stdout.readline()

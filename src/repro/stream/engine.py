@@ -35,7 +35,6 @@ recovery) wraps it in :mod:`repro.stream.durable`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,17 +261,6 @@ class StreamEngine:
             changed = sorted(net.items())
         return AppliedEvent(seq, event, tuple(changed))
 
-    def apply_fast(self, event: StreamEvent) -> int:
-        """Deprecated (removed in 3.0.0): use :meth:`apply_many` or
-        ``apply(event, collect=False)``, which this calls."""
-        warnings.warn(
-            "StreamEngine.apply_fast is deprecated (removed in 3.0.0); use "
-            "apply_many(events) or apply(event, collect=False)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply(event, collect=False).seq
-
     def apply_batch(
         self, events, *, collect: bool = False
     ) -> list[AppliedEvent]:
@@ -359,9 +347,15 @@ class StreamEngine:
                                 f"radius {r} outside [0, r_max={r_max}]"
                             )
                     # retract the current disk: only the node's own
-                    # coverage goes, so the window is its own radius
+                    # coverage goes, so the window is its own radius. An
+                    # emptied bucket goes too, so len(grid) counts occupied
+                    # cells whichever path applied the history.
                     ox, oy, orr = xs[node], ys[node], rs[node]
-                    grid[int(ox * inv) * S + int(oy * inv)].remove(node)
+                    key = int(ox * inv) * S + int(oy * inv)
+                    bucket = grid[key]
+                    bucket.remove(node)
+                    if not bucket:
+                        del grid[key]
                     r2 = orr * orr
                     for k in window(ox, oy, orr + pad, inv):
                         bucket = get(k)
@@ -563,7 +557,11 @@ class StreamEngine:
             st[t] = (*st[t], int(own[j]))
         for t, fin in st.items():
             if active[t]:
-                grid[int(xs[t] * inv) * S + int(ys[t] * inv)].remove(t)
+                key = int(xs[t] * inv) * S + int(ys[t] * inv)
+                bucket = grid[key]
+                bucket.remove(t)
+                if not bucket:
+                    del grid[key]
                 n_active -= 1
                 active[t] = 0
             if fin is None:

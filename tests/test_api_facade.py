@@ -54,8 +54,8 @@ class TestDeprecationShim:
             getattr(api, old)
         assert old not in dir(api)
 
-    def test_version_is_2(self):
-        assert repro.__version__ == "2.0.0"
+    def test_version_is_3(self):
+        assert repro.__version__ == "3.0.0"
 
 
 class TestPublicApiSnapshot:

@@ -74,26 +74,31 @@ class TestKernels:
         )
 
     def test_grid_matches_brute(self, connected_udg):
-        # method="grid" is the deprecated spelling of "batch": it warns and
-        # returns the batch vector bit for bit
+        # "batch" is the grid tier: fused queries over the GridIndex layout
         from repro.topologies import build
 
         for name in ("emst", "rng", "knn3"):
             t = build(name, connected_udg)
-            with pytest.warns(DeprecationWarning, match="batch"):
-                grid = node_interference(t, method="grid")
-            np.testing.assert_array_equal(grid, node_interference(t, method="batch"))
-            np.testing.assert_array_equal(grid, node_interference(t, method="brute"))
+            np.testing.assert_array_equal(
+                node_interference(t, method="batch"),
+                node_interference(t, method="brute"),
+            )
 
     def test_grid_matches_brute_on_chain(self):
         t = linear_chain(exponential_chain(30))
-        with pytest.warns(DeprecationWarning):
-            grid = graph_interference(t, method="grid")
-        assert grid == graph_interference(t, method="brute")
+        assert graph_interference(t, method="batch") == graph_interference(
+            t, method="brute"
+        )
+
+    def test_grid_spelling_is_removed(self, path_topology):
+        with pytest.raises(ValueError, match="unknown method 'grid'"):
+            node_interference(path_topology, method="grid")
 
     def test_unknown_method(self, path_topology):
         with pytest.raises(ValueError):
             node_interference(path_topology, method="quantum")
+        with pytest.raises(ValueError):  # checked before the empty shortcut
+            node_interference(Topology.empty(np.zeros((0, 2))), method="grid")
 
     def test_coverage_counts_consistent(self, connected_udg):
         from repro.topologies import build

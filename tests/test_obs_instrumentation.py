@@ -11,9 +11,9 @@ from repro.geometry.generators import random_udg_connected
 from repro.geometry.spatial import GridIndex
 from repro.interference.incremental import InterferenceTracker
 from repro.interference.receiver import graph_interference, node_interference
+from repro.mac import MacConfig, MacSimulator
 from repro.model.udg import unit_disk_graph
 from repro.runner import ResultCache, SweepTask, run_sweep
-from repro.sim.engine import Simulator
 from repro.topologies import build
 
 
@@ -110,17 +110,19 @@ class TestProtocolInstrumentation:
 
 
 class TestSimInstrumentation:
-    def test_event_counter_and_span_attrs(self):
-        sim = Simulator()
-        for t in (0.5, 1.0, 2.0):
-            sim.schedule(t, lambda: None)
+    def test_event_counter_and_span_attrs(self, udg):
+        cfg = MacConfig(mode="csma", tx_slots=3, load=0.05)
         with obs.capture():
-            sim.run(until=1.5)
-        assert obs.counters()["sim.events"] == 2
+            res = MacSimulator(udg, config=cfg).run(300, seed=3)
+        counters = obs.counters()
+        assert counters["mac.slots"] == 300
+        assert counters["mac.attempts"] == res.attempts.sum()
+        assert counters["mac.deferrals"] == res.deferrals.sum() > 0
         (root,) = obs.snapshot().spans
-        assert root.name == "sim.run"
-        assert root.attrs["events"] == 2
-        assert root.attrs["now"] == 1.5
+        assert root.name == "mac.run"
+        assert root.attrs["mode"] == "csma"
+        assert root.attrs["attempts"] == res.attempts.sum()
+        assert root.attrs["collisions"] == res.rx_collision.sum()
 
 
 class TestRunnerInstrumentation:

@@ -130,7 +130,7 @@ class TestSimulationBridge:
         """Receiver-centric I(v) correlates strongly with observed collision
         rates — the claim that the model 'corresponds to reality'."""
         from repro.experiments.sim_collisions import slotted_aloha
-        from repro.sim.metrics import collision_interference_correlation
+        from repro.mac.metrics import collision_interference_correlation
 
         pos = exponential_chain(35)
         t = linear_chain(pos)

@@ -7,8 +7,6 @@ contract: results are identical to per-item scalar execution, items
 still fail independently, and the fusion is observable via counters.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -38,7 +36,7 @@ class TestFusedEqualsScalar:
             _inline_item(1, measure="average", method="batch"),
             _inline_item(2, measure="node", method="auto"),
             _inline_item(3, measure="node", method="brute"),
-            _inline_item(4, measure="graph", method="grid"),
+            _inline_item(4, measure="graph", method="batch"),
             {
                 "generator": "random_udg_connected",
                 "args": {"n": 40, "side": 3.0, "seed": 7},
@@ -46,33 +44,28 @@ class TestFusedEqualsScalar:
             },
             _inline_item(5, measure="sender"),
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "grid" never reaches the shim
-            got = run_batch("interference", items)
-            for item, res in zip(items, got):
-                assert res["ok"], res
-                assert res["result"] == handle_interference(item)
+        got = run_batch("interference", items)
+        for item, res in zip(items, got):
+            assert res["ok"], res
+            assert res["result"] == handle_interference(item)
 
-    def test_grid_items_fuse_as_batch_without_warning(self):
-        """The wire's ``method="grid"`` runs as ``"batch"``: fused with
-        the batch-tier items, no ``DeprecationWarning`` in the worker, and
-        bit-identical to ``"batch"`` and to the brute kernel."""
+    def test_grid_items_are_rejected_alone(self):
+        """``method="grid"`` is no kernel: its items fail with the valid
+        methods named, and the rest still fuse."""
         methods = ["grid", "batch", "grid", "auto", "grid"]
         items = [
             _inline_item(s, measure="node", method=m)
             for s, m in enumerate(methods)
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with obs.capture() as trace:
-                got = run_batch("interference", items)
-            for method in ("batch", "brute"):
-                want = [
-                    handle_interference({**item, "method": method})
-                    for item in items
-                ]
-                assert [r["result"] for r in got] == want
-        assert trace.counters.get("serve.interference.fused", 0) == 5
+        with obs.capture() as trace:
+            got = run_batch("interference", items)
+        for method, res in zip(methods, got):
+            if method == "grid":
+                assert not res["ok"]
+                assert "auto, brute or batch" in res["error"]
+            else:
+                assert res["ok"], res
+        assert trace.counters.get("serve.interference.fused", 0) == 2
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_single_measure_batches(self, measure):
@@ -126,7 +119,7 @@ class TestErrorIndependence:
         assert [r["ok"] for r in got] == [True, False, True, False, False]
         assert "unknown measure" in got[1]["error"]
         assert "unknown generator" in got[3]["error"]
-        assert "'method' must be auto, brute, grid or batch" in got[4]["error"]
+        assert "'method' must be auto, brute or batch" in got[4]["error"]
         for idx in (0, 2):
             assert got[idx]["result"] == handle_interference(items[idx])
 

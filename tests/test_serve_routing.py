@@ -182,14 +182,6 @@ class TestServerRouterInjection:
         assert lane["max_batch_size"] >= 2
         assert lane["max_batch_size"] == 6
 
-    def test_grid_and_batch_methods_share_a_lane(self):
-        """The wire's ``"grid"`` keys the lane it runs on, ``"batch"``."""
-        router = LaneRouter()
-        grid = router.route("interference", {"method": "grid"})
-        assert grid == router.route("interference", {"method": "batch"})
-        assert grid.method == "batch"
-        assert grid != router.route("interference", {"method": "brute"})
-
 
 class TestApiExports:
     def test_routing_names_on_facade(self):

@@ -253,111 +253,23 @@ class TestBatching:
         assert result["value"] == int(graph_interference(topo))
         assert stats["batches"] == 1
 
-    def test_deprecated_linger_warns_and_still_lingers(self):
-        """A positive ``batch_linger_ms`` holds a lone request open until a
-        second same-lane request fills its batch."""
-        with pytest.warns(DeprecationWarning, match="batch_linger_ms"):
-            config = thread_config(
-                workers=1, batch_max_size=2, batch_linger_ms=10_000.0
-            )
+    def test_linger_option_is_removed(self):
+        with pytest.raises(TypeError, match="batch_linger_ms"):
+            ServeConfig(batch_linger_ms=1)
 
-        async def scenario():
-            async with InterferenceServer(config) as server:
-                async with await ServeClient.connect(port=server.port) as client:
-                    def send():
-                        return asyncio.ensure_future(client.interference(
-                            generator="exponential_chain", args={"n": 8}
-                        ))
+    def test_cluster_linger_option_is_removed(self):
+        from repro.serve.shard import ClusterConfig
 
-                    first = send()
-                    while server.stats()["accepted"] < 1:
-                        await asyncio.sleep(0.001)
-                    for _ in range(5):  # let the dispatcher take it
-                        await asyncio.sleep(0)
-                    second = send()
-                    await asyncio.gather(first, second)
-                    return server.stats()
+        with pytest.raises(TypeError, match="batch_linger_ms"):
+            ClusterConfig(batch_linger_ms=1)
 
-        stats = run_loop(scenario())
-        # without the linger the first request would have gone alone
-        assert stats["batches"] == 1
-        assert stats["max_batch_size"] == 2
+    def test_linger_ms_flag_is_removed(self, capsys):
+        from repro.cli import _build_parser
 
-    def test_deprecated_linger_ms_flag_warns_and_still_lingers(self, tmp_path):
-        """``repro serve --linger-ms`` keeps lingering, with a warning."""
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        stats_path = tmp_path / "stats.json"
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-u", "-m", "repro.cli", "serve",
-                "--port", "0", "--workers", "1", "--executor", "thread",
-                "--batch-max", "2", "--linger-ms", "10000",
-                "--stats-json", str(stats_path),
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env,
-        )
-
-        async def drive(port):
-            async with await ServeClient.connect(port=port) as client:
-                def send():
-                    return asyncio.ensure_future(client.interference(
-                        generator="exponential_chain", args={"n": 8}
-                    ))
-
-                first = send()
-                await asyncio.sleep(0.2)  # the first is dispatched alone now
-                await asyncio.gather(first, send())  # ...unless it lingers
-
-        try:
-            match = re.search(
-                r"listening on [\d.]+:(\d+)", proc.stdout.readline()
-            )
-            assert match, "no listening banner"
-            run_loop(drive(int(match.group(1))))
-        finally:
-            proc.send_signal(signal.SIGINT)
-            _, err = proc.communicate(timeout=30)
-        assert "DeprecationWarning: batch_linger_ms / --linger-ms" in err
-        stats = json.loads(stats_path.read_text())
-        assert stats["batches"] == 1
-        assert stats["max_batch_size"] == 2
-
-    def test_deprecated_cluster_linger_warns_and_reaches_workers(self):
-        """Subprocess shard workers get the deprecated ``--linger-ms``;
-        the warning it prints before their banner must not break start-up."""
-        from repro.serve.shard import ClusterConfig, ShardCluster
-
-        with pytest.warns(DeprecationWarning, match="batch_linger_ms"):
-            config = ClusterConfig(
-                shards=1, worker_mode="subprocess", batch_linger_ms=1.0
-            )
-
-        async def scenario():
-            async with ShardCluster(config) as cluster:
-                async with await ServeClient.connect(port=cluster.port) as client:
-                    result = await client.interference(
-                        generator="exponential_chain", args={"n": 8}
-                    )
-                return result, list(cluster.worker_logs[0])
-
-        result, log = run_loop(scenario())
-        topo = unit_disk_graph(exponential_chain(8), unit=1.0)
-        assert result["value"] == int(graph_interference(topo))
-        assert "DeprecationWarning: batch_linger_ms" in log[0]
+        with pytest.raises(SystemExit) as exc:  # a usage error, before serving
+            _build_parser().parse_args(["serve", "--linger-ms", "5"])
+        assert exc.value.code == 2
+        assert "--linger-ms" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -372,6 +284,21 @@ class TestErrors:
         error = run_loop(scenario())
         assert error.code == "bad_request"
         assert "unknown generator" in error.message
+
+    def test_grid_method_is_bad_request(self):
+        async def scenario():
+            async with InterferenceServer(thread_config()) as server:
+                async with await ServeClient.connect(port=server.port) as client:
+                    with pytest.raises(ServeError) as info:
+                        await client.interference(
+                            generator="exponential_chain", args={"n": 8},
+                            method="grid",
+                        )
+                    return info.value
+
+        error = run_loop(scenario())
+        assert error.code == "bad_request"
+        assert "auto, brute or batch" in error.message
 
     def test_malformed_json_line_gets_bad_request_envelope(self):
         async def scenario():

@@ -469,3 +469,23 @@ class TestStartFailure:
             assert any("listening on" in line for line in cluster.worker_logs[0])
 
         asyncio.run(scenario())
+
+
+class TestWorkerStartup:
+    def test_output_before_the_banner_is_logged(self, monkeypatch):
+        """A subprocess worker's stderr shares its stdout pipe, so a line
+        printed before the listening banner (here Python's complaint about
+        an unknown warning category) is logged and start-up reads on."""
+        monkeypatch.setenv("PYTHONWARNINGS", "ignore::NoSuchWarning")
+
+        async def scenario():
+            config = ClusterConfig(shards=1, worker_mode="subprocess")
+            async with ShardCluster(config) as cluster:
+                async with await ServeClient.connect(port=cluster.port) as client:
+                    pong = await client.ping()
+                return pong, list(cluster.worker_logs[0])
+
+        pong, log = asyncio.run(scenario())
+        assert pong == {"pong": True}
+        assert "Invalid -W option ignored" in log[0]
+        assert "listening on" in log[1]

@@ -1,12 +1,21 @@
-"""Tests for the p-persistent CSMA simulator."""
+"""Tests for carrier-sense multiple access (CSMA).
+
+The continuous-time simulator in ``repro.sim.csma`` was removed in 3.0.0;
+its replacement is ``repro.mac.MacSimulator`` with
+``MacConfig(mode="csma", tx_slots=3)``: packets last three slots, so a
+sender senses transmissions still in flight. The behaviour tests run on
+the replacement with the old per-packet loads (``arrival_rate`` per
+packet time is ``load * tx_slots``). The continuation tests of the old
+``run_for`` went with it: a ``MacSimulator.run`` always starts afresh.
+"""
 
 import numpy as np
 import pytest
 
 from repro.geometry.generators import random_udg_connected
+from repro.mac import MacConfig, MacSimulator
 from repro.model.topology import Topology
 from repro.model.udg import unit_disk_graph
-from repro.sim.csma import CsmaSimulator
 
 
 @pytest.fixture
@@ -15,39 +24,44 @@ def pair_topology():
     return Topology(pos, [(0, 1)])
 
 
+def csma(topology, load, **overrides):
+    config = {"mode": "csma", "tx_slots": 3, "load": load, **overrides}
+    return MacSimulator(topology, config=MacConfig(**config))
+
+
 class TestCsma:
     def test_deterministic_with_seed(self, pair_topology):
-        a = CsmaSimulator(pair_topology, arrival_rate=0.2, seed=1).run_for(500.0)
-        b = CsmaSimulator(pair_topology, arrival_rate=0.2, seed=1).run_for(500.0)
+        a = csma(pair_topology, 0.07).run(1500, seed=1)
+        b = csma(pair_topology, 0.07).run(1500, seed=1)
         np.testing.assert_array_equal(a.attempts, b.attempts)
         np.testing.assert_array_equal(a.rx_ok, b.rx_ok)
 
     def test_tally_conservation(self, pair_topology):
-        res = CsmaSimulator(pair_topology, arrival_rate=0.3, seed=2).run_for(400.0)
-        # every finished attempt is either ok or collided; attempts still on
-        # the air at the horizon may be unaccounted (at most n)
-        finished = res.rx_ok.sum() + res.rx_collision.sum()
+        res = csma(pair_topology, 0.1).run(1200, seed=2)
+        # every finished attempt has one outcome at its receiver; attempts
+        # still on the air at the horizon are unaccounted (at most n)
+        finished = res.rx_ok.sum() + res.rx_collision.sum() + res.rx_busy.sum()
         assert 0 <= res.attempts.sum() - finished <= pair_topology.n
+        assert res.conservation_ok
 
     def test_arrival_rate_scales_attempts(self, pair_topology):
-        lo = CsmaSimulator(pair_topology, arrival_rate=0.05, seed=3).run_for(1000.0)
-        hi = CsmaSimulator(pair_topology, arrival_rate=0.5, seed=3).run_for(1000.0)
+        lo = csma(pair_topology, 0.02).run(3000, seed=3)
+        hi = csma(pair_topology, 0.2).run(3000, seed=3)
         assert hi.attempts.sum() > 2 * lo.attempts.sum()
 
     def test_carrier_sense_defers(self):
         """A dense clique at high load must record deferrals."""
         pos = random_udg_connected(12, side=0.8, seed=4)
         udg = unit_disk_graph(pos)
-        res = CsmaSimulator(udg, arrival_rate=0.8, seed=5).run_for(300.0)
+        res = csma(udg, 0.25).run(900, seed=5)
         assert res.deferrals.sum() > 0
 
     def test_exposed_pair_no_collisions(self, pair_topology):
         """Two mutually audible nodes: carrier sensing prevents overlap
-        except simultaneous starts, which are measure-zero in continuous
-        time — collisions can only come from the receiver transmitting."""
-        res = CsmaSimulator(pair_topology, arrival_rate=0.2, seed=6).run_for(2000.0)
-        # receiver-busy corruption is possible; interference corruption is not.
-        # with carrier sensing the loss rate must be far below ALOHA-like
+        except same-slot starts, so the loss rate stays far below
+        ALOHA's; a receiver that is itself sending counts as busy, not
+        as a collision."""
+        res = csma(pair_topology, 0.07).run(6000, seed=6)
         assert res.rx_ok.sum() > 0
         loss = res.rx_collision.sum() / max(1, res.rx_ok.sum() + res.rx_collision.sum())
         assert loss < 0.35
@@ -57,61 +71,31 @@ class TestCsma:
         cover 1 — collisions at 1 must occur despite carrier sensing."""
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         t = Topology(pos, [(0, 1), (1, 2)])
-        res = CsmaSimulator(t, arrival_rate=0.5, seed=7).run_for(3000.0)
+        res = csma(t, 0.17).run(9000, seed=7)
         assert res.rx_collision.sum() > 0
 
     def test_collision_rate_shape(self, pair_topology):
-        res = CsmaSimulator(pair_topology, arrival_rate=0.2, seed=8).run_for(200.0)
+        res = csma(pair_topology, 0.07).run(600, seed=8)
         assert res.collision_rate.shape == (2,)
 
     def test_invalid_params(self, pair_topology):
         with pytest.raises(ValueError):
-            CsmaSimulator(pair_topology, arrival_rate=-1.0)
+            csma(pair_topology, -1.0)
         with pytest.raises(ValueError):
-            CsmaSimulator(pair_topology, tx_time=0.0)
+            csma(pair_topology, 0.1, tx_slots=0)
         with pytest.raises(ValueError):
-            CsmaSimulator(pair_topology).run_for(0.0)
+            csma(pair_topology, 0.1).run(-1)
 
 
 class TestSeededDeterminism:
-    """Regression tests for run_for's relative-horizon semantics."""
-
     FIELDS = ("attempts", "rx_ok", "rx_collision", "deferrals")
 
-    def _dense_topology(self):
-        pos = random_udg_connected(20, side=1.5, seed=11)
-        return unit_disk_graph(pos)
-
     def test_same_seed_identical_result(self):
-        t = self._dense_topology()
-        a = CsmaSimulator(t, arrival_rate=0.3, seed=9).run_for(600.0)
-        b = CsmaSimulator(t, arrival_rate=0.3, seed=9).run_for(600.0)
+        t = unit_disk_graph(random_udg_connected(20, side=1.5, seed=11))
+        a = csma(t, 0.1).run(1800, seed=9)
+        b = csma(t, 0.1).run(1800, seed=9)
         for f in self.FIELDS:
             np.testing.assert_array_equal(
                 getattr(a, f), getattr(b, f), err_msg=f
             )
-        assert a.duration == b.duration
-
-    def test_split_run_for_matches_single_call(self):
-        """run_for(a) then run_for(b) continues the same trajectory as a
-        single run_for(a + b): durations are relative, and arrival
-        processes are scheduled exactly once."""
-        t = self._dense_topology()
-        whole = CsmaSimulator(t, arrival_rate=0.3, seed=9).run_for(600.0)
-        sim = CsmaSimulator(t, arrival_rate=0.3, seed=9)
-        sim.run_for(250.0)
-        split = sim.run_for(350.0)
-        for f in self.FIELDS:
-            np.testing.assert_array_equal(
-                getattr(whole, f), getattr(split, f), err_msg=f
-            )
-        assert split.duration == 600.0
-
-    def test_intermediate_result_is_prefix(self):
-        t = self._dense_topology()
-        sim = CsmaSimulator(t, arrival_rate=0.3, seed=13)
-        first = sim.run_for(300.0)
-        second = sim.run_for(300.0)
-        for f in self.FIELDS:
-            assert np.all(getattr(first, f) <= getattr(second, f)), f
-        assert first.duration == 300.0 and second.duration == 600.0
+        assert a.n_slots == b.n_slots

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.geometry.generators import random_udg_connected
+from repro.mac.metrics import collision_interference_correlation, transmit_energy
 from repro.model.topology import Topology
 from repro.model.udg import unit_disk_graph
-from repro.sim.metrics import collision_interference_correlation, transmit_energy
 from repro.sim.traffic import BernoulliSource, PoissonArrivals, gather_tree
 
 

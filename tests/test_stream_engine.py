@@ -128,25 +128,50 @@ class TestValidation:
             engine.apply(StreamEvent("join", 1, 1.0, 1.0, 1.0), seq=3)
 
 
-class TestApplyFastShim:
-    def test_warns_and_matches_apply(self):
-        events = random_stream_events(
-            200, capacity=64, side=5.0, r_max=1.0, seed=12, family="mobile"
-        )
-        shim = StreamEngine(small_config())
-        plain = StreamEngine(small_config())
-        for ev in events:
-            with pytest.warns(DeprecationWarning, match="apply_many"):
-                seq = shim.apply_fast(ev)
-            assert seq == plain.apply(ev, collect=False).seq
-        assert shim.state_digest() == plain.state_digest()
+class TestRemovedSpellings:
+    def test_apply_fast_is_gone(self):
+        assert not hasattr(StreamEngine(small_config()), "apply_fast")
 
-    def test_rejection_passes_through(self):
+    def test_uncollected_apply_rejection_passes_through(self):
+        # apply(collect=False) is the spelling that replaced apply_fast; a
+        # rejected event raises and leaves the sequence number untouched.
         engine = StreamEngine(small_config())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StreamStateError, match="leave of inactive node 3"):
-                engine.apply_fast(StreamEvent("leave", 3))
+        with pytest.raises(StreamStateError, match="leave of inactive node 3"):
+            engine.apply(StreamEvent("leave", 3), collect=False)
         assert engine.seq == 0
+
+
+class TestGridBuckets:
+    """A vacated cell leaves no empty bucket behind, on either path, so
+    ``len(_grid)`` counts occupied cells whatever path applied the history."""
+
+    def test_join_move_leave_leaves_an_empty_grid(self):
+        engine = StreamEngine(small_config())
+        engine.apply(StreamEvent("join", 0, 0.5, 0.5, 1.0))
+        engine.apply(StreamEvent("move", 0, 20.5, 20.5, 1.0))
+        engine.apply(StreamEvent("leave", 0))
+        assert engine._grid == {}
+
+    def test_bulk_tier_matches_the_scalar_grid(self):
+        config = small_config(capacity=400)
+        joins = [
+            StreamEvent("join", i, 0.1 * (i % 20), 0.1 * (i // 20), 0.5)
+            for i in range(400)
+        ]
+        churn = [
+            StreamEvent("move", i, 30.0 + 0.01 * i, 30.0, 0.5)
+            for i in range(0, 400, 2)
+        ] + [StreamEvent("leave", i) for i in range(1, 400, 2)]
+        bulk = StreamEngine(config)
+        scalar = StreamEngine(config)
+        for engine in (bulk, scalar):
+            engine.apply_many(joins)
+        assert bulk._apply_many_bulk(churn) is not None
+        for event in churn:
+            scalar.apply(event, collect=False)
+        assert bulk.state_digest() == scalar.state_digest()
+        assert bulk._grid == scalar._grid
+        assert all(bulk._grid.values())
 
 
 class TestExactness:

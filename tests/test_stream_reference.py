@@ -152,6 +152,8 @@ class RefStreamEngine:
         get = grid.get
         key = int(x * inv) * _GRID_STRIDE + int(y * inv)
         grid[key].remove(node)
+        if not grid[key]:  # the engine keeps no empty bucket
+            del grid[key]
         r2 = r * r
         changed = [] if collect else None
         reach = r + self._pad
@@ -283,12 +285,6 @@ def _run(config, events, mode, seed=0):
     return rejected
 
 
-def _occupied(grid):
-    """Grid buckets that hold a node (a vacated bucket may stay behind as
-    an empty list, depending on the path that emptied it)."""
-    return {key: bucket for key, bucket in grid.items() if bucket}
-
-
 def _inject_rejections(events, capacity, r_max, seed, every=9):
     """Seeded invalid events spliced into a well-formed stream: joins of
     ids that joined before, leaves and moves of ids that may be inactive,
@@ -415,8 +411,8 @@ class TestFamilies:
             else:
                 assert _apply_chunk(engine, ref, chunk) == (len(chunk), 0)
             assert engine.state_digest() == ref.state_digest()
-            # the same nodes in the same order in every occupied bucket
-            assert _occupied(engine._grid) == _occupied(ref._grid)
+            # the same buckets, each with the same nodes in the same order
+            assert engine._grid == ref._grid
         assert engine.state_json() == ref.state_json()
         assert any(seq is not None for seq in bulk_seqs)
 
