@@ -8,8 +8,11 @@ should go through :class:`repro.geometry.GridIndex` instead.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.geometry.spatial import DiskCover
 from repro.utils import check_positions
 
 #: Rows of the pairwise-distance matrix computed per chunk. 2048 rows of
@@ -70,23 +73,36 @@ def pairwise_within(positions, radius: float) -> np.ndarray:
         raise ValueError("radius must be non-negative")
     n = pos.shape[0]
     x, y = pos[:, 0], pos[:, 1]
-    rows: list[np.ndarray] = []
+    cover = _disk_cover(float(radius))
+    parts: list[np.ndarray] = []
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        # hypot, the predicate GridIndex and the interference kernels use:
-        # squared distance rounds differently at d == radius and underflows
-        # for denormal gaps. Only columns >= start can hold pairs i < j.
-        d = np.hypot(
+        # only columns >= start can hold pairs i < j
+        covered = cover(
             x[start:stop, None] - x[None, start:],
             y[start:stop, None] - y[None, start:],
+            0,
         )
-        ii, jj = np.nonzero(d <= radius)
+        ii, jj = np.nonzero(covered)
         keep = ii < jj
-        if keep.any():
-            rows.append(np.stack([ii[keep], jj[keep]], axis=1) + start)
-    if not rows:
+        part = np.empty((np.count_nonzero(keep), 2), dtype=np.int64)
+        part[:, 0] = ii[keep]
+        part[:, 1] = jj[keep]
+        if start:
+            part += start
+        parts.append(part)
+    if not parts:
         return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=16)
+def _disk_cover(radius: float) -> DiskCover:
+    """``hypot(dx, dy) <= radius`` as a :class:`DiskCover`, the predicate
+    ``GridIndex`` and the interference kernels share: a bare squared
+    distance rounds differently at d == radius and underflows for denormal
+    gaps. Cached, since callers pass the same few radii (the UDG unit)."""
+    return DiskCover([radius])
 
 
 def bounding_box(positions) -> tuple[float, float, float, float]:

@@ -83,45 +83,62 @@ def clamped_cell_size(cell: float, span, n: int) -> float:
 #: of hypot, so no pair outside the band can round across the boundary.
 COVER_BAND = 2.0**-40
 
-#: Radii with r² in [2^-900, 2^900]: their squared distances can neither
-#: underflow into the band nor overflow out of it. Every other disk
-#: (r = 0, tiny, huge, NaN) sends all its pairs to ``np.hypot``.
+#: The thresholds are taken from radii clamped into [2^-450, 2^450], so
+#: r² lies in [2^-900, 2^900], where squared distances near it neither
+#: underflow nor overflow. A disk below the range (r = 0, tiny, negative)
+#: has nothing inside by ``s`` (``lo = -inf``); one above it has nothing
+#: outside by ``s`` (``hi = inf``): their other pairs go to ``np.hypot``.
+#: A NaN radius makes both thresholds NaN and sends every pair there.
 _COVER_R_MIN = 2.0**-450
 _COVER_R_MAX = 2.0**450
 
 
 class DiskCover:
-    """The grid tier's coverage predicate: exactly ``np.hypot(dx, dy) <=
-    r``, decided from ``dx² + dy²`` outside a thin band around r².
+    """The coverage predicate of every vectorized kernel: exactly
+    ``np.hypot(dx, dy) <= r``, decided from ``dx² + dy²`` outside a thin
+    band around r².
 
-    ``radii`` are the disks' radii; the per-disk thresholds
+    ``radii`` (1-D) are the disks' radii; the per-disk thresholds
     ``lo = r²(1 - 2⁻⁴⁰)`` and ``hi = r²(1 + 2⁻⁴⁰)`` are computed once, at
     construction. ``cover(dx, dy, q)`` then tests pairs against disks
     ``q``: ``s = dx² + dy² <= lo[q]`` is inside, ``s > hi[q]`` outside,
-    and only a pair in between (or of a disk outside the safe radius
-    range, or with a NaN ``s``) calls ``np.hypot``. DESIGN.md §5 holds the
+    and only a pair in between (or with a NaN ``s``) calls ``np.hypot``;
+    disks outside the safe radius range have one-sided thresholds
+    (:data:`_COVER_R_MIN`). DESIGN.md §5 holds the
     error argument: the result is bit-identical to the literal hypot
-    predicate the brute-force kernels apply, at the cost of a squared
-    comparison. Overflow and underflow are expected and silenced.
+    predicate (``node_interference_naive`` keeps it), at the cost of a
+    squared comparison. Overflow and underflow are expected and silenced.
     """
 
     def __init__(self, radii):
         r = self.radii = np.asarray(radii, dtype=np.float64)
-        ok = (r >= _COVER_R_MIN) & (r <= _COVER_R_MAX)
-        with np.errstate(all="ignore"):
-            r2 = r * r
-            self.lo = np.where(ok, r2 * (1.0 - COVER_BAND), -np.inf)
-            self.hi = np.where(ok, r2 * (1.0 + COVER_BAND), np.inf)
+        r2 = np.minimum(np.maximum(r, _COVER_R_MIN), _COVER_R_MAX)
+        r2 *= r2
+        self.lo = r2 * (1.0 - COVER_BAND)
+        self.hi = r2 * (1.0 + COVER_BAND)
+        self.lo[r < _COVER_R_MIN] = -np.inf
+        self.hi[r > _COVER_R_MAX] = np.inf
 
     def __call__(self, dx, dy, q):
-        """Boolean array ``np.hypot(dx, dy) <= radii[q]``, bit for bit."""
+        """Boolean array ``np.hypot(dx, dy) <= radii[q]``, bit for bit.
+
+        ``q`` indexes the disks, and ``radii[q]`` broadcasts against
+        ``dx`` and ``dy``: a 1-D run of pairs with one disk each, a
+        ``(rows, n)`` block with one disk per row (``q`` an index column
+        or ``(row_slice, None)``), or one disk for every pair.
+        """
         with np.errstate(all="ignore"):
             s = dx * dx + dy * dy
             keep = s <= self.lo[q]
-            band = ~(keep | (s > self.hi[q]))
-            if band.any():
-                i = np.flatnonzero(band)
-                keep[i] = np.hypot(dx[i], dy[i]) <= self.radii[q[i]]
+            decided = s > self.hi[q]
+            decided |= keep
+            if np.count_nonzero(decided) < decided.size:
+                # the band: pairs whose answer depends on hypot's rounding
+                i = np.nonzero(~decided)
+                shape = keep.shape
+                keep[i] = np.hypot(
+                    np.broadcast_to(dx, shape)[i], np.broadcast_to(dy, shape)[i]
+                ) <= np.broadcast_to(self.radii[q], shape)[i]
         return keep
 
 
@@ -343,7 +360,8 @@ class GridIndex:
         # d*d <= r*r would round across the boundary near d = r and
         # underflow to 0 for sub-1e-154 gaps (normalized exponential
         # chains reach denormals). DiskCover calls hypot only on the
-        # 2^-40 band around r² and for disks outside [2^-450, 2^450].
+        # 2^-40 band around r², widened to one side for disks outside
+        # [2^-450, 2^450].
         cover = DiskCover(radii)
         for q, t in self._candidates(cx, cy, radii):
             keep = cover(self._xs[t] - cx[q], self._ys[t] - cy[q], q)

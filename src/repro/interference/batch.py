@@ -12,11 +12,12 @@ operations per chunk of at most ``BATCH_PAIR_CHUNK`` candidate pairs.
 :func:`node_interference_many` namespaces the cell ids of many instances
 into one layout, so a micro-batch is one enumerator pass.
 
-Equivalence contract: the predicate answers exactly what the brute
-kernel's ``hypot(dx, dy) <= r_u * (1 + rtol) + atol`` answers —
-``DiskCover`` decides from ``dx² + dy²`` and calls ``hypot`` itself only
-on a 2⁻⁴⁰ band around r² — so ``batch == brute == naive`` bit-for-bit on
-every instance family (asserted by the property suites).
+Equivalence contract: the predicate answers exactly what the literal
+``hypot(dx, dy) <= r_u * (1 + rtol) + atol`` of ``node_interference_naive``
+answers — ``DiskCover``, which the brute kernel shares, decides from
+``dx² + dy²`` and calls ``hypot`` itself only on a 2⁻⁴⁰ band around r² —
+so ``batch == brute == naive`` bit-for-bit on every instance family
+(asserted by the property suites).
 
 Backends
 --------

@@ -17,12 +17,14 @@ classified consistently.
 Kernels follow the HPC guides: ``method="brute"`` is a blocked, fully
 vectorized O(n^2) pass; ``method="batch"`` (:mod:`repro.interference.batch`)
 answers every disk query in fused array passes over the grid's CSR
-layout — the default above :data:`AUTO_BATCH_MIN_N` nodes;
-``node_interference_naive`` is the pure-Python reference used in tests
-and performance benchmarks. All kernels share one coverage predicate and
-agree bit-for-bit on every instance family (the property suites assert
-it), including degenerate ones: a zero-radius node still covers nodes at
-distance exactly zero, in every kernel.
+layout — the default above :data:`AUTO_BATCH_MIN_N` nodes. Both decide
+coverage through :class:`repro.geometry.spatial.DiskCover`, which returns
+exactly ``hypot(dx, dy) <= r`` from ``dx² + dy²``;
+``node_interference_naive`` is the pure-Python reference that applies the
+literal ``math.hypot`` test, used in tests and performance benchmarks.
+All kernels agree bit-for-bit on every instance family (the property
+suites assert it), including degenerate ones: a zero-radius node still
+covers nodes at distance exactly zero, in every kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.geometry.spatial import AUTO_BATCH_MIN_N, GridIndex, clamped_cell_size
+from repro.geometry.spatial import (
+    AUTO_BATCH_MIN_N,
+    DiskCover,
+    GridIndex,
+    clamped_cell_size,
+)
 from repro.interference.batch import batch_covered_counts
 from repro.model.topology import Topology
 
@@ -87,28 +94,35 @@ def node_interference(
 
 
 def _interference_brute(topology: Topology, rtol: float, atol: float) -> np.ndarray:
+    counts = np.zeros(topology.n, dtype=np.int64)
+    for (_, cols), covered in _covered_blocks(topology, rtol, atol):
+        counts[cols] += covered.sum(axis=0)
+    return counts
+
+
+def _covered_blocks(topology: Topology, rtol: float, atol: float):
+    """Yield ``((rows, cols), covered)`` over ``_CHUNK``-square blocks:
+    ``covered[i, j]`` iff node ``rows.start + i`` covers node
+    ``cols.start + j`` (self excluded), decided by :class:`DiskCover`."""
     pos = topology.positions
-    r_eff = topology.radii * (1.0 + rtol) + atol
+    cover = DiskCover(topology.radii * (1.0 + rtol) + atol)
     n = pos.shape[0]
     x = np.ascontiguousarray(pos[:, 0])
     y = np.ascontiguousarray(pos[:, 1])
-    counts = np.zeros(n, dtype=np.int64)
     for rs in range(0, n, _CHUNK):
-        re = min(rs + _CHUNK, n)
+        rows = slice(rs, min(rs + _CHUNK, n))
+        q = rows, None  # the disks of the block's rows, as a column
         for cs in range(0, n, _CHUNK):
-            ce = min(cs + _CHUNK, n)
+            cols = slice(cs, min(cs + _CHUNK, n))
             # rows: potential interferers u; cols: victims v. Per-axis
             # deltas (never a 3-D diff) keep the transient at block size.
-            dx = x[rs:re, None] - x[None, cs:ce]
-            dy = y[rs:re, None] - y[None, cs:ce]
-            d = np.hypot(dx, dy)
-            covered = d <= r_eff[rs:re, None]
+            dx = x[rows, None] - x[None, cols]
+            covered = cover(dx, y[rows, None] - y[None, cols], q)
             if rs == cs:
-                # never count self-interference
-                idx = np.arange(re - rs)
-                covered[idx, idx] = False
-            counts[cs:ce] += covered.sum(axis=0)
-    return counts
+                # never count self-interference: clear the diagonal of the
+                # square block (a flat view, every (size + 1)-th element)
+                covered.reshape(-1)[:: covered.shape[0] + 1] = False
+            yield (rows, cols), covered
 
 
 def _grid_cell_size(
@@ -227,11 +241,10 @@ def coverage_matrix(topology: Topology) -> np.ndarray:
     Column sums are ``I(v)``. O(n^2) memory, so it serves the packet
     simulators, which index single pairs and sum sender rows per slot.
     """
-    pos = topology.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    covers = d <= (topology.radii * (1.0 + RTOL) + ATOL)[:, None]
-    np.fill_diagonal(covers, False)
+    n = topology.n
+    covers = np.empty((n, n), dtype=bool)
+    for (rows, cols), covered in _covered_blocks(topology, RTOL, ATOL):
+        covers[rows, cols] = covered
     return covers
 
 
@@ -242,24 +255,10 @@ def coverage_counts(topology: Topology, *, rtol: float = RTOL, atol: float = ATO
     The second vector is the node's "footprint" — useful for diagnosing
     which nodes dominate interference (hubs in the highway constructions).
     """
-    pos = topology.positions
-    r_eff = topology.radii * (1.0 + rtol) + atol
     n = topology.n
-    x = np.ascontiguousarray(pos[:, 0])
-    y = np.ascontiguousarray(pos[:, 1])
     interferers = np.zeros(n, dtype=np.int64)
-    covered = np.zeros(n, dtype=np.int64)
-    for rs in range(0, n, _CHUNK):
-        re = min(rs + _CHUNK, n)
-        for cs in range(0, n, _CHUNK):
-            ce = min(cs + _CHUNK, n)
-            dx = x[rs:re, None] - x[None, cs:ce]
-            dy = y[rs:re, None] - y[None, cs:ce]
-            d = np.hypot(dx, dy)
-            cov = d <= r_eff[rs:re, None]
-            if rs == cs:
-                idx = np.arange(re - rs)
-                cov[idx, idx] = False
-            interferers[cs:ce] += cov.sum(axis=0)
-            covered[rs:re] += cov.sum(axis=1)
-    return interferers, covered
+    footprint = np.zeros(n, dtype=np.int64)
+    for (rows, cols), covered in _covered_blocks(topology, rtol, atol):
+        interferers[cols] += covered.sum(axis=0)
+        footprint[rows] += covered.sum(axis=1)
+    return interferers, footprint

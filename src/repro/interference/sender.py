@@ -12,7 +12,9 @@ coverage 0 (set ``include_endpoints=True`` for the convention that counts
 them, which shifts every coverage by exactly 2).
 
 :func:`edge_coverage` tests each block of edges
-(:func:`repro.geometry.points.row_blocks`) against all ``n`` nodes: O(m·n).
+(:func:`repro.geometry.points.row_blocks`) against all ``n`` nodes: O(m·n),
+through :class:`repro.geometry.spatial.DiskCover` (``hypot(dx, dy) <= r``,
+bit for bit).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.points import row_blocks
+from repro.geometry.spatial import DiskCover
 from repro.interference.receiver import ATOL, RTOL
 from repro.model.topology import Topology
 
@@ -36,13 +39,12 @@ def edge_coverage(
     x, y = pos[:, 0], pos[:, 1]
     edges = topology.edges
     out = np.zeros(edges.shape[0], dtype=np.int64)
-    thresh = topology.edge_lengths * (1.0 + rtol) + atol
+    cover = DiskCover(topology.edge_lengths * (1.0 + rtol) + atol)
     for block in row_blocks(edges.shape[0], topology.n):
         u, v = edges[block, 0], edges[block, 1]
-        reach = thresh[block, None]
-        covered = (np.hypot(x - x[u, None], y - y[u, None]) <= reach) | (
-            np.hypot(x - x[v, None], y - y[v, None]) <= reach
-        )
+        q = block, None  # the block's disks, as a column
+        covered = cover(x - x[u, None], y - y[u, None], q)
+        covered |= cover(x - x[v, None], y - y[v, None], q)
         if not include_endpoints:
             rows = np.arange(u.size)
             covered[rows, u] = False

@@ -8,8 +8,12 @@ reached neighbours; the undirected output takes the symmetric closure
 
 Neighbours are reached in table row order (:mod:`repro.topologies.ranking`;
 distance ties to the smaller index). More neighbours only split gaps, so
-coverage is monotone in the prefix and each node bisects for the shortest
-covering one: O(m log m), then O(d log² d) per node of degree d.
+coverage is monotone in the prefix, and every node bisects for the
+shortest covering one. All nodes bisect at once: each row's directions are
+sorted by angle once, and one round tests every node's prefix ``mid``
+together — the entries of rank ``< mid`` keep their angular order, and
+the widest gap per node is one ``np.maximum.reduceat``. O(m log m) in
+all.
 """
 
 from __future__ import annotations
@@ -23,36 +27,51 @@ from repro.topologies.base import register
 from repro.topologies.ranking import NeighborTable
 
 
-def _gaps_covered(angles: np.ndarray, alpha: float) -> bool:
-    """True iff every (closed) cone of angle ``alpha`` contains a direction.
+def _widest_gaps(ang: np.ndarray, row: np.ndarray, sel: np.ndarray):
+    """``(nodes, gaps)``: the widest circular gap between the selected
+    directions of every node that has one.
 
-    Equivalent to: the maximum circular gap between consecutive directions
-    is at most ``alpha`` — in particular a single neighbour suffices for
-    ``alpha = 2*pi``.
+    ``ang`` and ``row`` list directions sorted by ``(row, angle)``; every
+    selected subsequence of a row is then sorted too, and its wrap-around
+    gap closes at its first direction plus ``2*pi``. A single direction
+    leaves a gap of ``2*pi``.
     """
-    if angles.size == 0:
-        return False
-    s = np.sort(angles)
-    gaps = np.diff(s, append=s[0] + 2.0 * math.pi)
-    return bool(gaps.max() <= alpha + 1e-12)
+    a, r = ang[sel], row[sel]
+    first = np.flatnonzero(np.diff(r, prepend=-1))
+    last = np.flatnonzero(np.diff(r, append=-1))
+    gaps = np.empty_like(a)
+    gaps[:-1] = a[1:] - a[:-1]
+    gaps[last] = a[first] + 2.0 * math.pi - a[last]
+    return r[first], np.maximum.reduceat(gaps, first)
 
 
 def cbtc(udg: Topology, *, alpha: float = 2.0 * math.pi / 3.0) -> Topology:
     if not 0 < alpha <= 2.0 * math.pi:
         raise ValueError("alpha must lie in (0, 2*pi]")
     table = NeighborTable(udg)
+    # every (closed) cone of angle alpha holds a direction iff no gap
+    # between consecutive directions is wider than alpha
+    limit = alpha + 1e-12
     ang = table.directions()
-    reached = np.zeros(table.src.size, dtype=bool)
-    for start, stop in zip(table.indptr[:-1].tolist(), table.indptr[1:].tolist()):
-        lo, hi = 1, stop - start
-        if hi and _gaps_covered(ang[start:stop], alpha):
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _gaps_covered(ang[start : start + mid], alpha):
-                    hi = mid
-                else:
-                    lo = mid + 1
-        reached[start : start + hi] = True
+    rank = np.arange(ang.size) - table.indptr[table.src]
+    order = np.lexsort((ang, table.src))
+    ang, row, row_rank = ang[order], table.src[order], rank[order]
+    # prefix lengths: a node whose full ring leaves a gap reaches all
+    # neighbours; the others bisect [lo, hi] for the shortest covering one
+    hi = np.diff(table.indptr)
+    lo = np.ones_like(hi)
+    nodes, gaps = _widest_gaps(ang, row, row_rank < hi[row])
+    bisecting = np.zeros(udg.n, dtype=bool)
+    bisecting[nodes[gaps <= limit]] = True
+    bisecting &= lo < hi
+    while bisecting.any():
+        mid = np.where(bisecting, (lo + hi) // 2, 0)
+        nodes, gaps = _widest_gaps(ang, row, row_rank < mid[row])
+        ok = gaps <= limit
+        hi[nodes[ok]] = mid[nodes[ok]]
+        lo[nodes[~ok]] = mid[nodes[~ok]] + 1
+        bisecting &= lo < hi
+    reached = rank < hi[table.src]
     return Topology(udg.positions, udg.edges[np.unique(table.edge[reached])])
 
 

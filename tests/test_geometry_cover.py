@@ -1,7 +1,8 @@
-"""Property suite for the grid tier's coverage predicate.
+"""Property suite for the coverage predicate of the grid and dense tiers.
 
 ``DiskCover(radii)(dx, dy, q)`` must return exactly
-``np.hypot(dx, dy) <= radii[q]`` — bit for bit, on every input — while
+``np.hypot(dx, dy) <= radii[q]`` — bit for bit, on every input and every
+broadcast shape of ``dx``, ``dy`` and ``q`` — while
 deciding most pairs from ``dx² + dy²``. Each case below sits where a bare
 squared comparison goes wrong: d = r to within a few ulps, squared
 distances that round across r², denormal gaps that underflow, zero
@@ -159,10 +160,14 @@ class TestExtremes:
             assert_exact(dx, dy, r)
 
     def test_thresholds_are_per_disk_and_band_is_thin(self):
-        radii = np.array([0.0, 1.0, 1e300, 2.0])
+        radii = np.array([0.0, 1.0, 1e300, 2.0, -1.0, np.nan])
         cover = DiskCover(radii)
-        assert cover.lo[0] == -np.inf and cover.hi[0] == np.inf
-        assert cover.lo[2] == -np.inf and cover.hi[2] == np.inf
+        # below the safe range nothing is inside by s, above it nothing is
+        # outside by s; the other side clamps to the range's end
+        assert cover.lo[0] == -np.inf and cover.hi[0] == 2.0**-900 * (1 + COVER_BAND)
+        assert cover.lo[4] == -np.inf and cover.hi[4] == cover.hi[0]
+        assert cover.lo[2] == 2.0**900 * (1 - COVER_BAND) and cover.hi[2] == np.inf
+        assert np.isnan(cover.lo[5]) and np.isnan(cover.hi[5])
         assert cover.lo[1] < 1.0 < cover.hi[1]
         assert (cover.hi[3] - cover.lo[3]) / 4.0 == pytest.approx(2 * COVER_BAND)
 
@@ -198,6 +203,82 @@ class TestRandomScales:
         if math.isfinite(h):
             assert_exact([dx, dx], [dy, dy], np.array([h, ulp_steps(h, -1)]),
                          np.arange(2))
+
+
+class TestBlockCallForm:
+    """One call form for every shape: a ``(rows, n)`` block of deltas with
+    one disk per row (``q`` an index column or ``(row_slice, None)``, as
+    the dense kernels call it), or one shared disk (a scalar ``q``). Band
+    pairs must be answered at their own block positions."""
+
+    @staticmethod
+    def block(radii, cols, seed):
+        """Deltas ``(rows, cols)``: half the pairs within 8 ulps of their
+        row's radius, the rest anywhere in ``[0, 2r]``."""
+        rng = np.random.default_rng(seed)
+        rows = radii.size
+        k = rng.integers(-8, 9, size=(rows, cols))
+        rel = np.where(rng.random((rows, cols)) < 0.5, k * 2.0**-52,
+                       rng.uniform(-1.0, 1.0, size=(rows, cols)))
+        d = radii[:, None] * (1.0 + rel)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(rows, cols))
+        return d * np.cos(theta), d * np.sin(theta)
+
+    @staticmethod
+    def band_pairs(cover, dx, dy, q):
+        with np.errstate(all="ignore"):
+            s = dx * dx + dy * dy
+        return int(np.count_nonzero((s > cover.lo[q]) & (s <= cover.hi[q])))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_disk_per_row(self, seed):
+        radii = np.array([1.0, 0.7, 1e-3, 1e-140, 1e140, 0.0, 2.0**-451, 3.0])
+        dx, dy = self.block(radii, 300, seed)
+        q = np.arange(radii.size)[:, None]
+        cover = DiskCover(radii)
+        got = cover(dx, dy, q)
+        with np.errstate(all="ignore"):
+            want = np.hypot(dx, dy) <= radii[:, None]
+        assert got.shape == dx.shape and got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+        assert self.band_pairs(cover, dx, dy, q) > 50
+        assert 0 < want.sum() < want.size
+
+    def test_row_subset_and_offset_indices(self):
+        # a block of rows 3..5 of a larger disk array, as the kernels'
+        # row blocks index it
+        radii = np.array([5.0, 6.0, 7.0, 1.0, 1e-3, 1e100, 2.0])
+        dx, dy = self.block(radii[3:6], 200, seed=4)
+        want = np.hypot(dx, dy) <= radii[3:6, None]
+        for q in (np.arange(3, 6)[:, None], (slice(3, 6), None)):
+            np.testing.assert_array_equal(DiskCover(radii)(dx, dy, q), want)
+
+    def test_one_shared_disk(self):
+        r = 0.7
+        dx, dy = self.block(np.full(6, r), 250, seed=5)
+        cover = DiskCover([r])
+        assert self.band_pairs(cover, dx, dy, 0) > 50
+        np.testing.assert_array_equal(cover(dx, dy, 0), np.hypot(dx, dy) <= r)
+
+    def test_broadcast_deltas(self):
+        # dx varies along columns only, dy along rows only: the band is
+        # read from the broadcast block
+        r = 1.0
+        xs = 0.6 + np.arange(-40, 41) * 2.0**-52
+        ys = np.sqrt(1.0 - xs * xs)
+        dx, dy = xs[None, :], ys[:, None]
+        cover = DiskCover(np.full(ys.size, r))
+        q = np.arange(ys.size)[:, None]
+        got = cover(dx, dy, q)
+        assert got.shape == (ys.size, xs.size)
+        bx, by = np.broadcast_arrays(dx, dy)
+        assert self.band_pairs(cover, bx, by, q) > 0
+        np.testing.assert_array_equal(got, np.hypot(bx, by) <= r)
+
+    def test_empty_block(self):
+        got = DiskCover(np.ones(3))(np.empty((3, 0)), np.empty((3, 0)),
+                                    np.arange(3)[:, None])
+        assert got.shape == (3, 0)
 
 
 class TestGridTier:
