@@ -188,15 +188,21 @@ class DurableStreamEngine:
         config = StreamConfig.from_jsonable(
             json.loads(meta.read_text())["config"]
         )
+        # child spans name the layer a slow recovery spends its time in:
+        # scan (read + verify the snapshot frame and the log suffix),
+        # snapshot (parse its JSON), restore (from_state), replay (decode
+        # every scanned record into an event, apply the tail)
         with obs.span("stream.recover", dir=str(directory)):
-            snap = latest_snapshot(directory)
-            snap_seq = snap[0] if snap else 0
-            scan = scan_store(directory, from_seq=snap_seq + 1)
-            if scan.torn_tail:
-                # drop the incomplete frame so the appender resumes cleanly
-                os.truncate(scan.tail_path, scan.valid_bytes)
-                obs.count("stream.recover.torn_tails")
-            obs.gauge("stream.recover.bytes", scan.scanned_bytes)
+            with obs.span("stream.recover.scan"):
+                snap = latest_snapshot(directory)
+                snap_seq = snap[0] if snap else 0
+                scan = scan_store(directory, from_seq=snap_seq + 1)
+                if scan.torn_tail:
+                    # drop the incomplete frame so the appender resumes
+                    # cleanly
+                    os.truncate(scan.tail_path, scan.valid_bytes)
+                    obs.count("stream.recover.torn_tails")
+                obs.gauge("stream.recover.bytes", scan.scanned_bytes)
 
             log_start = scan.first_seq
             if log_start and log_start > snap_seq + 1:
@@ -212,35 +218,40 @@ class DurableStreamEngine:
                     seq=snap_seq + 1,
                 )
             newer = snap_seq > scan.last_seq
-            if snap:
-                engine = StreamEngine.from_state(config, json.loads(snap[1]))
-            else:
-                engine = StreamEngine(config)
+            with obs.span("stream.recover.snapshot"):
+                state = json.loads(snap[1]) if snap else None
+            with obs.span("stream.recover.restore"):
+                if state is not None:
+                    engine = StreamEngine.from_state(config, state)
+                else:
+                    engine = StreamEngine(config)
 
-            replayed_from = replayed_to = 0
-            tail: list[tuple[int, StreamEvent]] = []
-            contiguous = True
-            for rec in scan.records:
-                seq, event = StreamEvent.from_wal_record(rec)
-                if seq <= snap_seq:
-                    continue
-                if replayed_from == 0:
-                    replayed_from = seq
-                elif seq != replayed_to + 1:
-                    contiguous = False
-                replayed_to = seq
-                tail.append((seq, event))
-            if contiguous and (not tail or replayed_from == engine.seq + 1):
-                # our own writer always produces this shape; bulk replay
-                # assigns the same seqnos and is ~2x faster than the
-                # per-event path (recovery wall time is a reported metric)
-                engine.apply_many([event for _, event in tail])
-            else:
-                # externally produced logs may skip or repeat seqnos;
-                # replay them one by one under explicit seq validation
-                for seq, event in tail:
-                    engine.apply(event, seq=seq, collect=False)
-            obs.count("stream.recover.replayed", replayed_to - replayed_from + 1 if replayed_from else 0)
+            with obs.span("stream.recover.replay"):
+                replayed_from = replayed_to = 0
+                tail: list[tuple[int, StreamEvent]] = []
+                contiguous = True
+                for rec in scan.records:
+                    seq, event = StreamEvent.from_wal_record(rec)
+                    if seq <= snap_seq:
+                        continue
+                    if replayed_from == 0:
+                        replayed_from = seq
+                    elif seq != replayed_to + 1:
+                        contiguous = False
+                    replayed_to = seq
+                    tail.append((seq, event))
+                if contiguous and (not tail or replayed_from == engine.seq + 1):
+                    # our own writer always produces this shape; apply_many
+                    # assigns the same seqnos without the per-event seq
+                    # check, and a long tail over a dense snapshot takes
+                    # its bulk tier, which restore leaves a ready mirror
+                    engine.apply_many([event for _, event in tail])
+                else:
+                    # externally produced logs may skip or repeat seqnos;
+                    # replay them one by one under explicit seq validation
+                    for seq, event in tail:
+                        engine.apply(event, seq=seq, collect=False)
+                obs.count("stream.recover.replayed", replayed_to - replayed_from + 1 if replayed_from else 0)
 
         info = RecoveryInfo(
             snapshot_seq=snap_seq,

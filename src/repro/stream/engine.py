@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -280,8 +281,8 @@ class StreamEngine:
         prefix stands, ``self.seq`` included. Large batches (>=
         ``_BULK_MIN_EVENTS``, not small beside the active set) over a
         dense active set (>= ~4 nodes per grid cell) take the vectorized
-        :meth:`_apply_many_bulk`; the rest run :meth:`_apply_scalar`,
-        which wins in sparse regimes (docs/PERFORMANCE.md).
+        :meth:`_apply_many_bulk`; the rest run :meth:`_apply_scalar`
+        (the measured ratios are in docs/PERFORMANCE.md).
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
@@ -651,18 +652,29 @@ class StreamEngine:
     @classmethod
     def from_state(cls, config: StreamConfig, state: dict) -> "StreamEngine":
         engine = cls(config)
-        grid = engine._grid
+        nodes = state["nodes"]
+        xs, ys, rs = engine.xs, engine.ys, engine.rs
+        counts, active, grid = engine.counts, engine.active, engine._grid
         inv = engine._inv
-        for i, x, y, r, c in state["nodes"]:
+        for i, x, y, r, c in nodes:
             i = int(i)
-            engine.xs[i] = x
-            engine.ys[i] = y
-            engine.rs[i] = r
-            engine.counts[i] = int(c)
-            engine.active[i] = 1
+            xs[i] = x
+            ys[i] = y
+            rs[i] = r
+            counts[i] = int(c)
+            active[i] = 1
             grid.setdefault(
                 int(x * inv) * _GRID_STRIDE + int(y * inv), []
             ).append(i)
-        engine.n_active = sum(engine.active)
+        engine.n_active = active.count(1)
         engine.seq = int(state["seq"])
+        # the bulk tier's float64 mirror, filled from the rows in
+        # O(active): a recovery's tail replay then never converts the
+        # three capacity-long lists
+        rows = np.fromiter(
+            chain.from_iterable(nodes), np.float64, 5 * len(nodes)
+        ).reshape(-1, 5)
+        mirror = np.zeros((3, config.capacity))
+        mirror[:, rows[:, 0].astype(np.int64)] = rows[:, 1:4].T
+        engine._np = tuple(mirror)
         return engine

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.stream import (
     EVENT_FAMILIES,
     DurableStreamEngine,
@@ -90,6 +91,27 @@ class TestCleanRecovery:
         reference.apply_batch(events)
         assert recovered.engine.state_digest() == reference.state_digest()
         recovered.close()
+
+    @pytest.mark.parametrize("events", [0, 200])
+    def test_traced_open_names_each_stage(self, tmp_path, events):
+        """``stream.recover`` holds one child span per recovery stage, in
+        order, whether or not there is a snapshot or a tail to replay."""
+        durable = DurableStreamEngine.create(tmp_path / "s", config())
+        durable.apply_batch(workload(200)[:events])
+        durable.close()
+        with obs.capture() as registry:
+            DurableStreamEngine.open(tmp_path / "s").close()
+        (root,) = [s for s in registry.roots if s.name == "stream.recover"]
+        assert [c.name for c in root.children] == [
+            "stream.recover.scan",
+            "stream.recover.snapshot",
+            "stream.recover.restore",
+            "stream.recover.replay",
+        ]
+        starts = [c.start_s for c in root.children]
+        assert starts == sorted(starts)
+        assert all(root.start_s <= c.start_s <= c.end_s <= root.end_s
+                   for c in root.children)
 
     def test_verify_stream_dir_passes_and_reports_range(self, tmp_path):
         durable = DurableStreamEngine.create(tmp_path / "s", config())
