@@ -33,7 +33,7 @@ import numpy as np
 
 from repro import obs
 from repro.utils import check_positions
-from repro.utils.validation import edges_from_keys
+from repro.utils.validation import check_key_span, edges_from_keys
 
 #: Upper bound on the number of candidate (query, point) pairs a single
 #: fused batch pass materializes; larger workloads are split into chunks
@@ -383,10 +383,11 @@ class GridIndex:
         for q, t in self._batch_hits(centers[:, 0], centers[:, 1], radii):
             qs.append(q)
             ps.append(self._order[t])
-        qq = np.concatenate(qs)
-        hits = np.concatenate(ps)
-        order = np.lexsort((hits, qq))
-        return qq[order], hits[order]
+        # one int64 key per hit pair, sorted in one pass: query-major
+        n = len(self)
+        check_key_span(centers.shape[0] * n, "query-pair")
+        keys = np.concatenate(qs) * np.int64(n) + np.concatenate(ps)
+        return np.divmod(np.sort(keys), n)
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All unordered pairs with distance <= ``radius``; ``(m, 2)`` int64.

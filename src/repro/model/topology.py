@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.graphs.core import Graph
+from repro.graphs.mst import edge_ranks
 from repro.graphs.traversal import edges_connected
 from repro.utils import check_edge_array, check_positions
 from repro.utils.validation import edge_keys
@@ -86,6 +87,15 @@ class Topology:
             np.add.at(deg, self.edges[:, 1], 1)
         deg.setflags(write=False)
         return deg
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """Read-only rank of every edge in the ``(length, lo, hi)`` link
+        order (:func:`repro.graphs.mst.edge_ranks`): the one ranking the
+        topology-control builders share."""
+        ranks = edge_ranks(self.edge_lengths, self.edges)
+        ranks.setflags(write=False)
+        return ranks
 
     @cached_property
     def _keys(self) -> np.ndarray:

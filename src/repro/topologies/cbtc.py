@@ -72,7 +72,7 @@ def cbtc(udg: Topology, *, alpha: float = 2.0 * math.pi / 3.0) -> Topology:
         lo[nodes[~ok]] = mid[nodes[~ok]] + 1
         bisecting &= lo < hi
     reached = rank < hi[table.src]
-    return Topology(udg.positions, udg.edges[np.unique(table.edge[reached])])
+    return Topology(udg.positions, table.edges_of(reached))
 
 
 @register("cbtc")

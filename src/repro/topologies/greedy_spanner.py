@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.graphs.mst import edge_order
+from repro.graphs.mst import inverse_permutation
 from repro.model.topology import Topology
 from repro.topologies.base import register
 
@@ -66,7 +66,7 @@ def spanner_edges(udg: Topology, order: np.ndarray, t: float) -> np.ndarray:
 
 
 def greedy_spanner(udg: Topology, *, t: float = 2.0) -> Topology:
-    order = edge_order(udg.edge_lengths, udg.edges)
+    order = inverse_permutation(udg._ranks)
     return Topology(udg.positions, spanner_edges(udg, order, t))
 
 

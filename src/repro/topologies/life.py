@@ -12,25 +12,28 @@ the receiver-centric measure.
   order until every UDG edge is ``t``-spanned, yielding a coverage-optimal
   ``t``-spanner.
 
-Coverage ties go by the ``(length, lo, hi)`` rank of
-:func:`repro.graphs.mst.edge_ranks`: O(m log m) after the O(m·n) coverage scan.
+Coverage ties go by the ``(length, lo, hi)`` rank (the topology's cached
+``_ranks``): one argsort of the unique key ``coverage * m + rank``,
+O(m log m) after the O(m·n) coverage scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.mst import edge_ranks
 from repro.graphs.unionfind import DisjointSet
 from repro.interference.sender import edge_coverage
 from repro.model.topology import Topology
 from repro.topologies.base import register
 from repro.topologies.greedy_spanner import spanner_edges
+from repro.utils.validation import check_key_span
 
 
 def _coverage_order(udg: Topology) -> np.ndarray:
     """Indices of UDG edges sorted by (coverage, length, lo, hi) ascending."""
-    return np.lexsort((edge_ranks(udg.edge_lengths, udg.edges), edge_coverage(udg)))
+    coverage, m = edge_coverage(udg), udg.n_edges
+    check_key_span((int(coverage.max(initial=0)) + 1) * m, "coverage-order")
+    return np.argsort(coverage * np.int64(m) + udg._ranks)
 
 
 @register("life")

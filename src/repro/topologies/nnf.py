@@ -5,9 +5,10 @@ nearest neighbour, ties broken by smaller index so the construction is
 deterministic. The result is a forest; Section 4 shows that *containing*
 this forest already forces Omega(n) interference on adversarial instances.
 
-The nearest neighbour is the head of each row of the
-:class:`~repro.topologies.ranking.NeighborTable` (order ``(dist, dst)``):
-O(m log m) for the table, O(m) after it.
+The nearest neighbour of a node is the end of its least-ranked incident
+edge in the ``(length, lo, hi)`` order (the topology's cached ``_ranks``):
+one ``np.minimum.at`` over both endpoints, O(m) after the ranks. An edge
+is kept iff it is the least-ranked edge at either endpoint.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ import numpy as np
 
 from repro.model.topology import Topology
 from repro.topologies.base import register
-from repro.topologies.ranking import NeighborTable
 
 
 def nearest_neighbor_edges(udg: Topology) -> np.ndarray:
     """Canonical ``(m, 2)`` edge array of each node's nearest-neighbour edge."""
-    return NeighborTable(udg).leading_edges(1)
+    edges, rank = udg.edges, udg._ranks
+    least = np.full(udg.n, udg.n_edges, dtype=np.int64)
+    np.minimum.at(least, edges[:, 0], rank)
+    np.minimum.at(least, edges[:, 1], rank)
+    return edges[(rank == least[edges[:, 0]]) | (rank == least[edges[:, 1]])]
 
 
 @register("nnf")

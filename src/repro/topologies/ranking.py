@@ -3,19 +3,22 @@
 Canonical edges are totally ordered by ``(weight, lo, hi)``: the length by
 default, a link quality for XTC. :func:`repro.graphs.mst.edge_ranks` (the
 Euclidean MST's tie-break too) turns that rule into one integer rank per
-edge (one ``lexsort``, O(m log m)). A :class:`NeighborTable` lists both
-orientations of every edge sorted by ``(src, rank)``; for lengths that is
-``(src, dist, dst)``, each node's neighbours nearest first with ties to
-the smaller index — the order NNF, kNN, Yao, CBTC, XTC and LMST read.
+edge: one unstable argsort of the weights, with ties put back in index
+order (O(m log m)). Length ranks are computed once per topology and cached
+as ``Topology._ranks``. A :class:`NeighborTable` lists both orientations
+of every edge sorted by ``(src, rank)`` (one argsort of the unique key
+``src * m + rank``); for lengths that is ``(src, dist, dst)``, each node's
+neighbours nearest first with ties to the smaller index — the order kNN,
+Yao, CBTC, XTC and LMST read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.mst import edge_ranks
+from repro.graphs.mst import edge_ranks, inverse_permutation
 from repro.model.topology import Topology
-from repro.utils.validation import edge_keys
+from repro.utils.validation import check_key_span, edge_keys
 
 #: Witness pairs per block of :meth:`NeighborTable.triangles`, on average
 #: (about 15 MB of transient int64 arrays).
@@ -35,20 +38,22 @@ class NeighborTable:
     ``rank`` is per canonical edge; ``src``, ``dst`` and ``edge`` (the
     canonical index) are per entry; ``indptr`` holds the CSR row starts and
     ``slot`` the ``(m, 2)`` positions of each edge's ``lo -> hi`` and
-    ``hi -> lo`` entries. ``weights`` defaults to the edge lengths.
+    ``hi -> lo`` entries. ``weights`` defaults to the edge lengths, whose
+    ranks are the topology's cached ``_ranks``.
     """
 
     def __init__(self, udg: Topology, weights: np.ndarray | None = None):
         self.udg = udg
         edges, m = udg.edges, udg.n_edges
-        if weights is None:
-            weights = udg.edge_lengths
-        self.rank = edge_ranks(weights, edges)
+        self.rank = udg._ranks if weights is None else edge_ranks(weights, edges)
         src, edge = edges.T.ravel(), np.tile(np.arange(m), 2)
-        order = np.lexsort((self.rank[edge], src))
+        # every (src, edge) entry is distinct and ranks are distinct per
+        # edge, so the key is unique and has one sorted order
+        check_key_span(udg.n * m, "neighbour-table")
+        order = np.argsort(src * np.int64(m) + self.rank[edge])
         self.src, self.edge = src[order], edge[order]
         self.dst = edges[:, ::-1].T.ravel()[order]
-        self.slot = np.argsort(order).reshape(2, m).T
+        self.slot = inverse_permutation(order).reshape(2, m).T
         self.indptr = np.r_[0, np.cumsum(np.bincount(src, minlength=udg.n))]
 
     def directions(self) -> np.ndarray:
@@ -61,9 +66,16 @@ class NeighborTable:
         """Table position of the entry of canonical ``edge`` leaving ``src``."""
         return self.slot[edge, (self.udg.edges[edge, 0] != src).astype(np.int64)]
 
+    def edges_of(self, entries: np.ndarray) -> np.ndarray:
+        """Canonical edges of the table ``entries`` (a mask or positions),
+        each once and in canonical order: a scatter, not a sort."""
+        keep = np.zeros(self.udg.n_edges, dtype=bool)
+        keep[self.edge[entries]] = True
+        return self.udg.edges[keep]
+
     def leading_edges(self, k: int) -> np.ndarray:
         """Canonical edges from every node to its first ``k`` neighbours."""
-        return self.udg.edges[np.unique(self.edge[run_heads(self.src, k)])]
+        return self.edges_of(run_heads(self.src, k))
 
     def triangles(self, sel: np.ndarray, count: np.ndarray):
         """Triangles closed by witnesses of the directed entries ``sel``.

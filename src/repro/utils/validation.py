@@ -53,6 +53,18 @@ def edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
+def check_key_span(span: int, what: str) -> None:
+    """Raise ``ValueError`` unless combined int64 keys ``0 .. span - 1`` fit.
+
+    ``span`` is a Python int (the product of the key's factor ranges, so it
+    cannot wrap); ``what`` names the key in the message. Every combined
+    sort key is guarded here, as :func:`check_edge_array` guards
+    :func:`edge_keys`: an overflowing key raises, no second path runs.
+    """
+    if span > 1 << 63:
+        raise ValueError(f"{what} keys overflow int64 ({span} values)")
+
+
 def edges_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """Decode :func:`edge_keys` back into an ``(m, 2)`` int64 edge array."""
     out = np.empty((keys.size, 2), dtype=np.int64)
