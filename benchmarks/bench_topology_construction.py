@@ -1,16 +1,26 @@
-"""Sort-once topology construction at n = 2x10^4: parity and speed gates.
+"""Topology construction at scale: parity and speed gates.
 
 Runs on the ``kernel_scale`` uniform and blob families (n = 2x10^4, 3
-nodes per unit area, seed 0). Two kinds of gate:
+nodes per unit area, seed 0), and on the uniform family at n = 2000 for
+LIFE and LISE, whose O(m·n) coverage scan is still cheap there. Two kinds
+of gate:
 
 1. **Parity**: every builder that reads the neighbour table (kNN, XTC,
    CBTC, LMST, Yao), NNF and EMST gives exactly the edges of the frozen
-   sorts in ``tests/test_topologies_sort_reference.py``.
+   sorts in ``tests/test_topologies_sort_reference.py``; ``gspan2`` and
+   ``delaunay`` (n = 2x10^4, uniform) and ``lise2`` and ``life``
+   (n = 2000) give exactly the edges of the frozen builders in
+   ``tests/test_topologies_search_reference.py``.
 2. **Speed**: same-process ratios over those frozen copies, best of
    :data:`ROUNDS` alternating calls, each on a fresh ``Topology`` (so the
    edge lengths and cached ranks are part of every timed call). NNF must
-   be >= 3x faster, ``NeighborTable`` >= 2x. On a 2-vCPU Xeon NNF runs
-   at 6-8x and the table at about 3x.
+   be >= 3x faster, ``NeighborTable`` >= 2x, the goal-directed ``gspan2``
+   >= 1.05x, ``delaunay`` >= 2x and ``life`` then ``lise2`` on one UDG
+   (one shared coverage scan against two) >= 1.5x. On a 2-vCPU Xeon NNF
+   runs at 6-8x, the table at about 3x, ``gspan2`` at 1.12-1.35x (a
+   sparse UDG: the bounded Dijkstra already pops few labels, and the
+   per-edge call dominates), ``delaunay`` at 3.4-3.7x and the LIFE/LISE
+   pair at about 2x.
 
 Run via ``python -m pytest benchmarks/bench_topology_construction.py``.
 """
@@ -29,6 +39,11 @@ from repro.model.udg import unit_disk_graph
 from repro.topologies import build
 from repro.topologies.nnf import nearest_neighbor_edges
 from repro.topologies.ranking import NeighborTable
+from tests.test_topologies_search_reference import (
+    FROZEN_SEARCH,
+    frozen_life,
+    frozen_lise,
+)
 from tests.test_topologies_sort_reference import (
     FROZEN_BUILDERS,
     FrozenNeighborTable,
@@ -43,14 +58,19 @@ SEED = 0
 ROUNDS = 5
 NNF_FLOOR = 3.0
 TABLE_FLOOR = 2.0
+GSPAN_FLOOR = 1.05
+DELAUNAY_FLOOR = 2.0
+COVERAGE_PAIR_FLOOR = 1.5
+#: n of the LIFE/LISE gates (uniform family, same density and seed)
+COVERAGE_N = 2000
 
 
-def _family(name: str) -> Topology:
-    side = math.sqrt(N / DENSITY)
+def _family(name: str, n: int = N) -> Topology:
+    side = math.sqrt(n / DENSITY)
     if name == "uniform":
-        pos = random_uniform_square(N, side=side, seed=SEED)
+        pos = random_uniform_square(n, side=side, seed=SEED)
     else:
-        pos = random_blobs(N, side=side, blobs=100, spread=3.0, seed=SEED + 1)
+        pos = random_blobs(n, side=side, blobs=100, spread=3.0, seed=SEED + 1)
     return unit_disk_graph(pos)
 
 
@@ -59,9 +79,43 @@ def udg(request):
     return _family(request.param)
 
 
+@pytest.fixture(scope="module")
+def uniform():
+    return _family("uniform")
+
+
+@pytest.fixture(scope="module")
+def uniform_small():
+    return _family("uniform", COVERAGE_N)
+
+
 @pytest.mark.parametrize("name", FROZEN_BUILDERS)
 def test_parity_at_scale(udg, name):
     assert np.array_equal(build(name, udg).edges, frozen_build(name, udg)), name
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [
+        ("gspan2", "uniform"),
+        ("delaunay", "uniform"),
+        ("lise2", "uniform_small"),
+        ("life", "uniform_small"),
+    ],
+)
+def test_search_parity(request, name, scale):
+    udg = request.getfixturevalue(scale)
+    assert np.array_equal(build(name, udg).edges, FROZEN_SEARCH[name](udg)), name
+
+
+def _frozen_coverage_pair(udg):
+    frozen_life(udg)
+    return frozen_lise(udg)
+
+
+def _coverage_pair(udg):
+    build("life", udg)
+    return build("lise2", udg)
 
 
 def _best_ratio(udg, frozen, ours) -> tuple[float, float, float]:
@@ -75,6 +129,20 @@ def _best_ratio(udg, frozen, ours) -> tuple[float, float, float]:
             fn(fresh)
             best[fn] = min(best[fn], time.perf_counter() - started)
     return best[frozen], best[ours], best[frozen] / best[ours]
+
+
+def _gate(benchmark, udg, label, frozen, ours, floor):
+    """Record :func:`_best_ratio` and require ``ratio >= floor``."""
+    frozen_s, ours_s, ratio = benchmark.pedantic(
+        _best_ratio, args=(udg, frozen, ours), rounds=1, iterations=1
+    )
+    benchmark.extra_info["frozen_ms"] = round(frozen_s * 1e3, 2)
+    benchmark.extra_info["ms"] = round(ours_s * 1e3, 2)
+    benchmark.extra_info["speedup"] = round(ratio, 2)
+    assert ratio >= floor, (
+        f"{label} only {ratio:.2f}x over its frozen copy at n={udg.n} "
+        f"({ours_s * 1e3:.1f} ms vs {frozen_s * 1e3:.1f} ms; floor {floor}x)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -93,13 +161,37 @@ def _best_ratio(udg, frozen, ours) -> tuple[float, float, float]:
     ],
 )
 def test_speedup_gate(benchmark, udg, label, frozen, ours, floor):
-    frozen_s, ours_s, ratio = benchmark.pedantic(
-        _best_ratio, args=(udg, frozen, ours), rounds=1, iterations=1
-    )
-    benchmark.extra_info["frozen_ms"] = round(frozen_s * 1e3, 2)
-    benchmark.extra_info["ms"] = round(ours_s * 1e3, 2)
-    benchmark.extra_info["speedup"] = round(ratio, 2)
-    assert ratio >= floor, (
-        f"{label} only {ratio:.2f}x over the frozen sorts at n={N} "
-        f"({ours_s * 1e3:.1f} ms vs {frozen_s * 1e3:.1f} ms; floor {floor}x)"
-    )
+    _gate(benchmark, udg, label, frozen, ours, floor)
+
+
+@pytest.mark.parametrize(
+    "label, scale, frozen, ours, floor",
+    [
+        pytest.param(
+            "gspan2",
+            "uniform",
+            FROZEN_SEARCH["gspan2"],
+            lambda udg: build("gspan2", udg),
+            GSPAN_FLOOR,
+            id="gspan2",
+        ),
+        pytest.param(
+            "delaunay",
+            "uniform",
+            FROZEN_SEARCH["delaunay"],
+            lambda udg: build("delaunay", udg),
+            DELAUNAY_FLOOR,
+            id="delaunay",
+        ),
+        pytest.param(
+            "life + lise2",
+            "uniform_small",
+            _frozen_coverage_pair,
+            _coverage_pair,
+            COVERAGE_PAIR_FLOOR,
+            id="coverage-pair",
+        ),
+    ],
+)
+def test_search_speedup_gate(benchmark, request, label, scale, frozen, ours, floor):
+    _gate(benchmark, request.getfixturevalue(scale), label, frozen, ours, floor)

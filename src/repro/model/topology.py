@@ -14,10 +14,10 @@ from functools import cached_property
 import numpy as np
 
 from repro.graphs.core import Graph
-from repro.graphs.mst import edge_ranks
+from repro.graphs.mst import edge_ranks, inverse_permutation
 from repro.graphs.traversal import edges_connected
 from repro.utils import check_edge_array, check_positions
-from repro.utils.validation import edge_keys
+from repro.utils.validation import check_key_span, edge_keys
 
 
 class Topology:
@@ -98,6 +98,20 @@ class Topology:
         return ranks
 
     @cached_property
+    def _coverage_ranks(self) -> np.ndarray:
+        """Read-only rank of every edge in the ``(coverage, length, lo, hi)``
+        order, coverage being :func:`repro.interference.sender.edge_coverage`:
+        the one coverage scan LIFE and LISE share. Coverage ties go by
+        :attr:`_ranks` (one argsort of the unique key ``coverage * m + rank``)."""
+        from repro.interference.sender import edge_coverage  # imports this module
+
+        coverage, m = edge_coverage(self), self.n_edges
+        check_key_span((int(coverage.max(initial=0)) + 1) * m, "coverage-order")
+        ranks = inverse_permutation(np.argsort(coverage * np.int64(m) + self._ranks))
+        ranks.setflags(write=False)
+        return ranks
+
+    @cached_property
     def _keys(self) -> np.ndarray:
         """Sorted int64 edge keys (:func:`repro.utils.validation.edge_keys`)."""
         return edge_keys(self.edges, self.n)
@@ -105,9 +119,9 @@ class Topology:
     @cached_property
     def _adjacency(self) -> list[frozenset[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(int(v))
-            adj[v].add(int(u))
+        for u, v in self.edges.tolist():
+            adj[u].add(v)
+            adj[v].add(u)
         return [frozenset(s) for s in adj]
 
     # -- queries --------------------------------------------------------------

@@ -4,6 +4,11 @@ Planar-structure baseline from first-generation topology control [10, 14].
 Degenerate (collinear) inputs — e.g. highway instances — have no 2-D
 triangulation; there the Delaunay graph of points on a line is exactly the
 path through the sorted order, which we build directly.
+
+The candidate edges are int64 keys (:func:`repro.utils.validation.edge_keys`)
+built from the triangle sides or the path at once; one sort drops the
+repeats (each inner side bounds two triangles) and one ``np.isin`` against
+the UDG's sorted ``_keys`` keeps the unit-range ones.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from scipy.spatial import Delaunay, QhullError
 
 from repro.model.topology import Topology
 from repro.topologies.base import register
+from repro.utils.validation import edges_from_keys, sorted_unique
 
 
 def _collinear(pos: np.ndarray) -> bool:
@@ -22,29 +28,34 @@ def _collinear(pos: np.ndarray) -> bool:
     return bool(np.linalg.matrix_rank(centered, tol=1e-12) < 2)
 
 
+def _side_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Edge keys of the node pairs ``(a[i], b[i])``, in either orientation."""
+    return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+
+
+def _path_keys(pos: np.ndarray) -> np.ndarray:
+    """1-D Delaunay: the path through the sorted order (ties in x by y)."""
+    order = np.lexsort((pos[:, 1], pos[:, 0]))
+    return _side_keys(order[:-1], order[1:], pos.shape[0])
+
+
 @register("delaunay")
 def delaunay_topology(udg: Topology) -> Topology:
-    pos = udg.positions
-    n = udg.n
+    """Delaunay edges (the sorted path on collinear or Qhull-rejected
+    inputs) that are also UDG edges: sorted-unique candidate keys filtered
+    by ``np.isin`` against ``udg._keys``."""
+    pos, n = udg.positions, udg.n
     if n <= 1:
         return Topology(pos, ())
     if _collinear(pos):
-        # 1-D Delaunay = sorted path (ties in x broken by y)
-        order = np.lexsort((pos[:, 1], pos[:, 0]))
-        cand = {(int(min(a, b)), int(max(a, b))) for a, b in zip(order, order[1:])}
+        keys = _path_keys(pos)
     else:
         try:
             tri = Delaunay(pos)
         except QhullError:
-            order = np.lexsort((pos[:, 1], pos[:, 0]))
-            cand = {
-                (int(min(a, b)), int(max(a, b))) for a, b in zip(order, order[1:])
-            }
+            keys = _path_keys(pos)
         else:
-            cand = set()
-            for simplex in tri.simplices:
-                for i in range(3):
-                    a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
-                    cand.add((min(a, b), max(a, b)))
-    keep = [e for e in sorted(cand) if udg.has_edge(*e)]
-    return Topology(pos, np.array(keep, dtype=np.int64).reshape(-1, 2))
+            s = tri.simplices
+            keys = _side_keys(s, np.roll(s, -1, axis=1), n).ravel()
+    keys = sorted_unique(keys)
+    return Topology(pos, edges_from_keys(keys[np.isin(keys, udg._keys)], n))

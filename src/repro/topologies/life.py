@@ -12,42 +12,38 @@ the receiver-centric measure.
   order until every UDG edge is ``t``-spanned, yielding a coverage-optimal
   ``t``-spanner.
 
-Coverage ties go by the ``(length, lo, hi)`` rank (the topology's cached
-``_ranks``): one argsort of the unique key ``coverage * m + rank``,
-O(m log m) after the O(m·n) coverage scan.
+Both read the UDG's cached ``_coverage_ranks``: the ``(coverage, length,
+lo, hi)`` rank of every edge, from one O(m·n) coverage scan per UDG that
+the two share. Coverage ties go by the ``(length, lo, hi)`` rank (the
+topology's cached ``_ranks``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.unionfind import DisjointSet
-from repro.interference.sender import edge_coverage
+from repro.graphs.mst import inverse_permutation, rank_spanning_forest
 from repro.model.topology import Topology
 from repro.topologies.base import register
 from repro.topologies.greedy_spanner import spanner_edges
-from repro.utils.validation import check_key_span
 
 
 def _coverage_order(udg: Topology) -> np.ndarray:
     """Indices of UDG edges sorted by (coverage, length, lo, hi) ascending."""
-    coverage, m = edge_coverage(udg), udg.n_edges
-    check_key_span((int(coverage.max(initial=0)) + 1) * m, "coverage-order")
-    return np.argsort(coverage * np.int64(m) + udg._ranks)
+    return inverse_permutation(udg._coverage_ranks)
 
 
 @register("life")
 def life(udg: Topology) -> Topology:
-    """Coverage-minimal spanning forest (LIFE)."""
-    ds = DisjointSet(udg.n)
-    edges, keep = udg.edges.tolist(), []
-    for k in _coverage_order(udg).tolist():
-        u, v = edges[k]
-        if ds.union(u, v):
-            keep.append((u, v))
-            if ds.n_components == 1:
-                break
-    return Topology(udg.positions, np.array(keep, dtype=np.int64).reshape(-1, 2))
+    """Coverage-minimal spanning forest (LIFE).
+
+    Kruskal's forest in coverage order is the minimum spanning forest under
+    the distinct coverage ranks: one
+    :func:`~repro.graphs.mst.rank_spanning_forest` call.
+    """
+    return Topology(
+        udg.positions, rank_spanning_forest(udg.n, udg.edges, udg._coverage_ranks)
+    )
 
 
 def lise(udg: Topology, *, t: float = 2.0) -> Topology:
@@ -55,7 +51,7 @@ def lise(udg: Topology, *, t: float = 2.0) -> Topology:
 
     Edges are examined in coverage order; an edge is inserted iff the
     current partial topology does not yet connect its endpoints within
-    ``t`` times its Euclidean length (the bounded greedy loop of
+    ``t`` times its Euclidean length (the goal-directed greedy loop of
     :func:`~repro.topologies.greedy_spanner.spanner_edges`).
     """
     return Topology(udg.positions, spanner_edges(udg, _coverage_order(udg), t))

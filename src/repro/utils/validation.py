@@ -72,6 +72,13 @@ def edges_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 key array: one sort plus an
+    adjacent-difference mask (numpy's ``unique`` runs many times slower)."""
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+
+
 def check_edge_array(edges, n: int, *, name: str = "edges") -> np.ndarray:
     """Validate an ``(m, 2)`` integer edge array over nodes ``0..n-1``.
 
@@ -95,4 +102,4 @@ def check_edge_array(edges, n: int, *, name: str = "edges") -> np.ndarray:
     keys = edge_keys(canon, n)
     if np.all(keys[1:] > keys[:-1]):
         return canon  # already canonical, as the UDG kernels emit it: O(m)
-    return edges_from_keys(np.unique(keys), n)
+    return edges_from_keys(sorted_unique(keys), n)

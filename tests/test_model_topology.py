@@ -191,3 +191,24 @@ class TestEdgeKeySetSemantics:
         assert one.contains_edges([])
         assert one.without_edges([]).n_edges == 0
         assert not one.is_subgraph_of(Topology(np.zeros((2, 2))))
+
+
+class TestAdjacency:
+    """``neighbors`` against a set built row by row from ``edges``."""
+
+    def test_neighbors_match_rows_on_oracle_instances(self):
+        from repro.topologies import build
+        from tests.test_topologies_oracle import _instances
+
+        for label, udg in _instances():
+            for topo in (udg, build("nnf", udg)):
+                want = [set() for _ in range(topo.n)]
+                for u, v in topo.edges:
+                    want[int(u)].add(int(v))
+                    want[int(v)].add(int(u))
+                for u in range(topo.n):
+                    got = topo.neighbors(u)
+                    assert isinstance(got, frozenset), label
+                    assert got == want[u], (label, u)
+                    assert all(type(x) is int for x in got), label
+                    assert all(topo.has_edge(u, v) for v in want[u]), label

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import check_edge_array, check_positions, check_radii
-from repro.utils.validation import EDGE_KEY_MAX_N, edge_keys, edges_from_keys
+from repro.utils.validation import (
+    EDGE_KEY_MAX_N,
+    edge_keys,
+    edges_from_keys,
+    sorted_unique,
+)
 from repro.utils.rng import as_generator
 
 
@@ -151,6 +158,54 @@ class TestCheckEdgeArrayProperties:
         keys = edge_keys(out, 30)
         assert np.array_equal(keys, np.sort(keys))
         assert np.array_equal(edges_from_keys(keys, 30), out)
+
+
+@st.composite
+def _shuffled_edge_rows(draw):
+    """``(n, rows)``: 0 .. 40 random non-loop pairs plus up to 20 repeats
+    of them, each row reversed at random, all shuffled."""
+    n = draw(st.integers(2, 40))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    base = draw(st.lists(pairs, max_size=40))
+    dups = draw(st.lists(st.sampled_from(base), max_size=20)) if base else []
+    rows = [(b, a) if draw(st.booleans()) else (a, b) for a, b in base + dups]
+    return n, draw(st.permutations(rows))
+
+
+class TestSortedUnique:
+    """The sort-plus-mask de-duplication against ``np.unique``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shuffled_edge_rows())
+    def test_check_edge_array_matches_np_unique(self, case):
+        n, rows = case
+        arr = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        keys = np.minimum(arr[:, 0], arr[:, 1]) * n + np.maximum(arr[:, 0], arr[:, 1])
+        out = check_edge_array(arr, n)
+        assert out.dtype == np.int64 and out.shape[1] == 2
+        assert np.array_equal(out, edges_from_keys(np.unique(keys), n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=60))
+    def test_keys_match_np_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        out = sorted_unique(keys)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.unique(keys))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_tiny(self, m):
+        keys = np.arange(m, dtype=np.int64)
+        assert np.array_equal(sorted_unique(keys), keys)
+        rows = np.array([[1, 0]] * m, dtype=np.int64).reshape(-1, 2)
+        assert check_edge_array(rows, 2).tolist() == [[0, 1]] * m
+
+    def test_input_untouched(self):
+        keys = np.array([3, 1, 3, 2], dtype=np.int64)
+        assert sorted_unique(keys).tolist() == [1, 2, 3]
+        assert keys.tolist() == [3, 1, 3, 2]
 
 
 class TestAsGenerator:
